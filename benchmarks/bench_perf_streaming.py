@@ -9,9 +9,9 @@ Three figures are measured on synthetic overlapping traces:
    plus a bare :class:`~repro.live.union.StreamingUnion` for scale.
    Every path is asserted **bit-identical** to the batch pipeline —
    the speed is only interesting because the answer is exact.  The
-   chunked path must clear both an absolute floor (``REQUIRED_RPS``)
-   and a relative one (``REQUIRED_SPEEDUP`` over per-record in the
-   same run, so machine variance cancels).
+   chunked and per-record paths must each clear an absolute floor
+   (``REQUIRED_RPS``, ``REQUIRED_PER_RECORD_RPS``).  Both run the same
+   columnar fold, so there is no relative floor between them.
 
 2. **Per-window latency** — wall time from a window becoming settled to
    its ``window`` event reaching a sink, i.e. the cost of closing one
@@ -60,10 +60,10 @@ SHARDS = min(4, os.cpu_count() or 1)
 #: race the hardware.  The same number is exported in the JSON artifact
 #: for the CI perf-regression gate.
 REQUIRED_RPS = 150_000.0 if SMOKE else 250_000.0
-#: Relative floor: chunked over per-record measured in the same run.
-REQUIRED_SPEEDUP = 3.0 if SMOKE else 5.0
-#: Legacy floor on the per-record path (kept as a secondary guard).
-REQUIRED_PER_RECORD_RPS = 20_000.0
+#: Absolute floor for *per-record* ingest at the largest scale: ~0.6x
+#: the rate measured on a 2-vCPU Xeon VM (the chunked floor's headroom),
+#: with the chunked floors' smoke/full ratio.
+REQUIRED_PER_RECORD_RPS = 29_000.0 if SMOKE else 49_000.0
 
 
 def synthesize(n, *, seed=20130520):
@@ -190,7 +190,6 @@ def test_streaming_ingest_throughput(artifact, artifact_json):
         "headline": headline,
         "floors": {
             "chunked_rps": REQUIRED_RPS,
-            "chunked_speedup": REQUIRED_SPEEDUP,
             "per_record_rps": REQUIRED_PER_RECORD_RPS,
         },
     })
@@ -201,9 +200,6 @@ def test_streaming_ingest_throughput(artifact, artifact_json):
         f"chunked ingest {headline['chunked_rps']:,.0f} rec/s at "
         f"{SCALES[-1]:.0e} records is below the {REQUIRED_RPS:,.0f} "
         f"rec/s floor")
-    assert headline["chunked_speedup"] >= REQUIRED_SPEEDUP, (
-        f"chunked ingest is only {headline['chunked_speedup']:.1f}x "
-        f"per-record; the floor is {REQUIRED_SPEEDUP}x")
     if (os.cpu_count() or 1) >= 2 * SHARDS and not SMOKE:
         # Only meaningful with real cores behind the shards; on 1-2
         # CPUs the per-chunk pickling is pure overhead.

@@ -171,10 +171,8 @@ class Attributor:
 
     # -- feed --------------------------------------------------------------
 
-    def add_record(self, record: IORecord) -> None:
-        self.graph.add_record(record)
-
     def add_chunk(self, chunk) -> None:
+        """Fold a :class:`~repro.live.chunk.RecordChunk` into the graph."""
         self.graph.add_chunk(chunk)
 
     # -- learn / diff ------------------------------------------------------

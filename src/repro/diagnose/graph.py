@@ -13,20 +13,23 @@ Two properties are load-bearing:
 
 - **window-of-start bucketing** — a record belongs wholly to the
   window containing its *start* (its interval clipped to that window's
-  bounds for occupancy).  Every accumulation is commutative, so the
-  closed bucket is independent of arrival order: the streaming feed
-  (completion order, out of start order) and the offline replay build
-  identical graphs, which is what makes streaming and offline
-  attribution agree suspect-for-suspect;
+  bounds for occupancy).  Every accumulation is exact and commutative
+  (integer counts, maxima, clipped-interval sets, and response-time
+  sums rounded once with :func:`math.fsum` when the window settles), so
+  the closed bucket is bit-identical however the records arrived and
+  however they were cut into chunks: the live tap, the per-record
+  replay and the chunked replay build identical graphs, which is what
+  makes streaming and offline attribution agree suspect-for-suspect;
 - **bounded memory** — the attributor pops each bucket as its window
   closes, so a long-running stream holds O(open windows) of graph
   state, never O(run).
 
 The ``server`` vertex comes from a caller-supplied key function
-(``server_of``), normally the stripe-layout mapping the live tap uses
-(:func:`repro.live.tap._server_key`); without one every record lands on
-``"?"`` and server-level attribution degrades gracefully to pid/op
-signals.
+(``server_of``), normally a :class:`StripeServerKey` (the stripe-layout
+mapping the live tap and ``bps diagnose --servers`` use); without one
+every record lands on ``"?"`` and server-level attribution degrades
+gracefully to pid/op signals.  A key function with a ``column(chunk)``
+method is evaluated on the chunk's columns instead of row by row.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from repro.core.intervals import union_time
 from repro.core.records import IORecord
 from repro.errors import ReproError
 
@@ -113,41 +119,38 @@ class WindowGraph:
         return out
 
 
-def _sweep_union(intervals: list) -> float:
-    """Union length of ``[lo, hi)`` tuples (the Fig. 3 merge sweep).
+def _group_max(codes: np.ndarray, values: np.ndarray, keys) -> dict:
+    """key -> max of ``values`` over the rows whose code indexes it."""
+    out = np.full(len(keys), -np.inf)
+    np.maximum.at(out, codes, values)
+    return dict(zip(keys, out.tolist()))
 
-    Semantically :func:`repro.core.intervals.union_time`, but a window
-    bucket holds at most a few hundred intervals per server — at that
-    size the ndarray conversion costs more than the whole sweep, and
-    this runs once per server per closed window on the live path.
+
+class StripeServerKey:
+    """Record -> server name under a striped layout.
+
+    The server holding a record's first byte claims the record (cheap
+    and stable for requests spanning several stripes); unknown offsets
+    (< 0) land on ``"?"``.
     """
-    intervals.sort()
-    total = 0.0
-    lo, hi = intervals[0]
-    for start, end in intervals:
-        if start > hi:
-            total += hi - lo
-            lo, hi = start, end
-        elif end > hi:
-            hi = end
-    return total + (hi - lo)
 
+    def __init__(self, names, stripe_size: int) -> None:
+        self.names = tuple(names)
+        self.stripe_size = stripe_size
+        self._table = np.array(self.names + ("?",), dtype=object)
 
-class _Bucket:
-    """Open-window accumulator (mutable, order-independent sums)."""
+    def __call__(self, record: IORecord) -> str:
+        if record.offset < 0:
+            return "?"
+        return self.names[(record.offset // self.stripe_size)
+                          % len(self.names)]
 
-    __slots__ = ("edges", "server_intervals", "server_max_end",
-                 "pid_max_end")
-
-    def __init__(self) -> None:
-        #: (pid, op, server) -> [ops, blocks, dur_sum, retries, failures]
-        self.edges: dict[tuple, list] = {}
-        #: server -> clipped [lo, hi) interval tuples.
-        self.server_intervals: dict[str, list] = {}
-        #: server -> max unclipped record end (commutative max).
-        self.server_max_end: dict[str, float] = {}
-        #: pid -> max unclipped record end (commutative max).
-        self.pid_max_end: dict[int, float] = {}
+    def column(self, chunk) -> np.ndarray:
+        """Every row's key at once (an object array)."""
+        offset = chunk.offset
+        return self._table[np.where(
+            offset < 0, len(self.names),
+            (offset // self.stripe_size) % len(self.names))]
 
 
 class TraceGraph:
@@ -164,90 +167,95 @@ class TraceGraph:
         self.origin = origin
         self.block_size = block_size
         self.server_of = server_of
-        self._buckets: dict[int, _Bucket] = {}
+        #: window index -> the rows starting there, as one tuple of
+        #: column slices per chunk (pid, op, server, blocks, duration,
+        #: retries, failed, start, clipped end, end); aggregated only
+        #: when the window settles.
+        self._buckets: dict[int, list] = {}
 
     # -- feed --------------------------------------------------------------
 
-    def add_record(self, record: IORecord) -> None:
-        """Fold one completed record into its start window's bucket.
-
-        This runs once per delivered record on the live path, riding
-        the same ingest loop as the metric stream, so it is written
-        flat: locals over attribute chases, no property calls, one
-        dict probe per structure.  The window index must match
-        :meth:`repro.live.stream.MetricStream._index_of` bit-for-bit
-        (``int(floor(...))``) or a record could land in a different
-        bucket than the window it is judged under.
-        """
-        origin = self.origin
-        if origin is None:
-            origin = self.origin = record.start
-        start = record.start
-        end = record.end
-        pid = record.pid
-        index = int(math.floor((start - origin) / self.window))
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = _Bucket()
-        server = "?" if self.server_of is None else self.server_of(record)
-        edges = bucket.edges
-        key = (pid, record.op, server)
-        edge = edges.get(key)
-        if edge is None:
-            edge = edges[key] = [0, 0, 0.0, 0, 0]
-        edge[0] += 1
-        edge[1] += -(-record.nbytes // self.block_size)
-        edge[2] += end - start
-        edge[3] += record.retries
-        if not record.success:
-            edge[4] += 1
-        hi = origin + (index + 1) * self.window
-        if end < hi:
-            hi = end
-        if hi > start:
-            intervals = bucket.server_intervals.get(server)
-            if intervals is None:
-                intervals = bucket.server_intervals[server] = []
-            intervals.append((start, hi))
-        prev = bucket.server_max_end.get(server)
-        if prev is None or end > prev:
-            bucket.server_max_end[server] = end
-        prev = bucket.pid_max_end.get(pid)
-        if prev is None or end > prev:
-            bucket.pid_max_end[pid] = end
-
     def add_chunk(self, chunk) -> None:
-        """Fold one columnar chunk in (row order, same scalar sums).
+        """Fold a columnar :class:`~repro.live.chunk.RecordChunk` in,
+        each row into its start window's bucket.
 
-        Deliberately the scalar loop: identical float-addition order to
-        per-record ingest keeps the streaming chunked path and the
-        offline replay building bit-identical buckets.
+        The window index must match
+        :meth:`repro.live.stream.MetricStream._index_of` bit-for-bit
+        (``floor((start - origin) / window)``) or a record could land in
+        a different bucket than the window it is judged under.
         """
-        for record in chunk.records():
-            self.add_record(record)
+        n = len(chunk)
+        if n == 0:
+            return
+        if self.origin is None:
+            self.origin = float(chunk.start[0])
+        start, end = chunk.start, chunk.end
+        index = np.floor((start - self.origin) / self.window).astype(
+            np.int64)
+        servers = (np.full(n, "?", dtype=object) if self.server_of is None
+                   else chunk.keys(self.server_of))
+        clip = np.minimum(self.origin + (index + 1) * self.window, end)
+        order = np.argsort(index, kind="stable")
+        columns = [column[order] for column in (
+            chunk.pid, chunk.op, servers,
+            -(-chunk.nbytes // self.block_size), end - start,
+            chunk.retries, ~chunk.success, start, clip, end)]
+        index = index[order]
+        heads = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+        bounds = np.append(heads, n).tolist()
+        for i, lo, hi in zip(index[heads].tolist(), bounds, bounds[1:]):
+            self._buckets.setdefault(i, []).append(
+                tuple(column[lo:hi] for column in columns))
 
     # -- close -------------------------------------------------------------
 
     def window_graph(self, index: int) -> WindowGraph:
-        """The settled graph of window ``index`` (empty if untouched)."""
-        bucket = self._buckets.get(index)
-        if bucket is None:
+        """The settled graph of window ``index`` (empty if untouched).
+
+        Every figure is an exact function of the bucket's row *set* —
+        integer counts, maxima, clipped-interval unions, and
+        response-time sums correctly rounded by :func:`math.fsum` — so
+        it is bit-identical however the rows arrived or were chunked.
+        """
+        parts = self._buckets.get(index)
+        if not parts:
             return WindowGraph(index=index, edges=(), occupancy={},
                                max_end={}, pid_max_end={})
+        (pid, op, server, blocks, duration, retries, failed, start, clip,
+         end) = (np.concatenate(column) for column in zip(*parts))
+        pids, pid_code = np.unique(pid, return_inverse=True)
+        ops, op_code = np.unique(op, return_inverse=True)
+        servers, srv_code = np.unique(server, return_inverse=True)
+        pids, ops, servers = pids.tolist(), ops.tolist(), servers.tolist()
+        # One edge per (pid, op, server); codes ascend in that order.
+        _codes, heads, inv = np.unique(
+            (pid_code * len(ops) + op_code) * len(servers) + srv_code,
+            return_index=True, return_inverse=True)
+        counts = np.bincount(inv)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        durations = duration[np.argsort(inv, kind="stable")].tolist()
         edges = tuple(
-            GraphEdge(pid=pid, op=op, server=server, ops=row[0],
-                      blocks=row[1], dur_sum=row[2], retries=row[3],
-                      failures=row[4])
-            for (pid, op, server), row in sorted(bucket.edges.items()))
-        occupancy = {
-            server: _sweep_union(ivals)
-            for server, ivals in sorted(bucket.server_intervals.items())
-        }
-        return WindowGraph(index=index, edges=edges, occupancy=occupancy,
-                           max_end=dict(sorted(
-                               bucket.server_max_end.items())),
-                           pid_max_end=dict(sorted(
-                               bucket.pid_max_end.items())))
+            GraphEdge(pid=pids[p], op=ops[o], server=servers[s], ops=n,
+                      blocks=int(b), dur_sum=math.fsum(durations[lo:hi]),
+                      retries=int(r), failures=int(f))
+            for p, o, s, n, b, r, f, lo, hi in zip(
+                pid_code[heads].tolist(), op_code[heads].tolist(),
+                srv_code[heads].tolist(), counts.tolist(),
+                np.bincount(inv, weights=blocks).tolist(),
+                np.bincount(inv, weights=retries).tolist(),
+                np.bincount(inv, weights=failed).tolist(),
+                bounds, bounds[1:]))
+        intervals = np.column_stack((start, clip))
+        occupied = clip > start
+        occupancy = {}
+        for k, name in enumerate(servers):
+            mine = occupied & (srv_code == k)
+            if np.any(mine):
+                occupancy[name] = union_time(intervals[mine])
+        return WindowGraph(
+            index=index, edges=edges, occupancy=occupancy,
+            max_end=_group_max(srv_code, end, servers),
+            pid_max_end=_group_max(pid_code, end, pids))
 
     def pop_window(self, index: int) -> WindowGraph:
         """Settle window ``index`` and release its bucket (the

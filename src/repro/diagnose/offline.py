@@ -21,34 +21,21 @@ from typing import Callable
 
 from repro.core.records import IORecord, TraceCollection
 from repro.diagnose.attribute import Attributor, Suspect, ranked_suspects
-from repro.diagnose.graph import DiagnoseError
+from repro.diagnose.graph import DiagnoseError, StripeServerKey
 from repro.util.units import KiB
 
 
 def stripe_server_of(n_servers: int,
-                     stripe_size: int = 64 * KiB) -> Callable:
-    """Offset -> ``serverN`` key for a default striped layout.
-
-    Mirrors the live tap's first-stripe attribution rule
-    (:func:`repro.live.tap._server_key`): the server holding a
-    record's first byte claims the record; unknown offsets land on
-    ``"?"``.
-    """
+                     stripe_size: int = 64 * KiB) -> StripeServerKey:
+    """Offset -> ``serverN`` key for a default striped layout
+    (``server0..server{n-1}``), the same first-stripe rule the live tap
+    applies to its system's layout."""
     if n_servers < 1:
         raise DiagnoseError(f"server count must be >= 1, got {n_servers}")
     if stripe_size < 1:
         raise DiagnoseError(f"stripe size must be >= 1, got {stripe_size}")
-    # Interned name table: key_of runs once per record on the live
-    # ingest path, and building "serverN" there is half its cost.
-    names = tuple(f"server{i}" for i in range(n_servers))
-
-    def key_of(record: IORecord) -> str:
-        offset = record.offset
-        if offset < 0:
-            return "?"
-        return names[(offset // stripe_size) % n_servers]
-
-    return key_of
+    return StripeServerKey((f"server{i}" for i in range(n_servers)),
+                           stripe_size)
 
 
 @dataclass(frozen=True)

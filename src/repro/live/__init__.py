@@ -16,9 +16,9 @@ sweep, paper §III.B/Fig. 3) becomes an online pipeline:
   JSONL event stream, Prometheus-style text exposition) plus
   :class:`FailSafeSink`, the error-policy wrapper that keeps a dying
   sink from corrupting the metric stream;
-- :mod:`repro.live.chunk` — :class:`RecordChunk`, the columnar wire
-  format behind :meth:`MetricStream.push_chunk`, the vectorised bulk
-  ingest path (~10x the per-record rate);
+- :mod:`repro.live.chunk` — :class:`RecordChunk`, the columnar batch
+  every stream update runs on (:meth:`MetricStream.push_chunk` takes
+  one directly; :meth:`MetricStream.ingest` buffers rows into them);
 - :mod:`repro.live.shard` — :class:`ShardedMetricStream`, chunked
   ingest fanned out over N forked worker processes and re-merged at
   the watermark, bit-identical to batch at any shard count;

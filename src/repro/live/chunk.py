@@ -1,38 +1,37 @@
-"""Columnar record chunks — the wire format of the vectorised hot path.
+"""Columnar record chunks — the unit every live update runs on.
 
-The per-record streaming path (:meth:`~repro.live.stream.MetricStream.ingest`)
-spends its time in Python bookkeeping, not in the union sweep: the
-``bench_perf_streaming`` profile shows the bare
-:class:`~repro.live.union.StreamingUnion` sustaining ~0.9M rec/s while
-the full stream crawls at ~85k.  :class:`RecordChunk` closes that gap by
-moving records in *columns*: one NumPy array per field, mirroring the
-:meth:`~repro.core.records.TraceCollection.to_columns` layout, so
-windows, breakdowns, and the union all update with array ops
-(:meth:`~repro.live.stream.MetricStream.push_chunk`) instead of one
-Python frame per record.
+:class:`RecordChunk` moves records in *columns* (one NumPy array per
+field, the :meth:`~repro.core.records.TraceCollection.to_columns`
+layout), so windows, breakdowns, counters and the attribution graph
+update with array ops instead of one Python frame per record.
+:meth:`~repro.live.stream.MetricStream.push_chunk` folds a caller's
+chunk; :meth:`~repro.live.stream.MetricStream.ingest` buffers records
+and folds them as chunks too — there is no other update path.
 
 Exactness contract
 ------------------
 
-Chunked ingest preserves the subsystem's headline guarantee: the
-cumulative union time, BPS, IOPS, and bandwidth are **bit-identical** to
-both per-record ingest and the batch
-:func:`~repro.core.metrics.compute_metrics` — those quantities are
-ratios of exact integer totals over the canonical-union time, and the
-canonical union does not depend on how its inputs were grouped.  Two
-quantities are exact only to float *re-association*: the cumulative
-duration sum behind ARPT, and the overlap-proportional per-window
-block/byte masses (a window whose mass spans a chunk boundary receives
-``(a + b) + (c + d)`` where the per-record path computed
-``((a + b) + c) + d``).  Per-window *I/O times* stay exact — clipped
-interval endpoints are selected, never computed, and the per-window
-union is order-independent.  The property suite pins all of this down
+Per-record and chunked ingest differ in exactly two ways.  **Lateness
+granularity**: ``ingest`` hands each record to the union on arrival,
+``push_chunk`` a chunk at a time (rows inside one chunk are never late
+relative to each other), so ``late_records``, ``late_window_updates``
+and the instants at which window events close follow the entry point.
+**Float re-association** of the cumulative duration sum behind ARPT,
+a running sum over folds.  Everything else is **bit-identical** across
+entry points, chunkings, and the batch
+:func:`~repro.core.metrics.compute_metrics`: cumulative union time,
+BPS, IOPS and bandwidth (exact integer totals over the canonical
+union, which does not depend on how its inputs were grouped);
+per-window ops, masses, ARPT and I/O times (clipped endpoints are
+selected, never computed, window unions are order-independent, and
+window sums are correctly rounded with :func:`math.fsum`); and every
+per-group figure.  The property suite pins this down
 (``tests/live/test_chunked_properties.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -60,6 +59,10 @@ class RecordChunk:
     offset: np.ndarray
     success: np.ndarray
     retries: np.ndarray
+    #: The source records when built by :meth:`from_records`: row-level
+    #: key functions see them whole (``file`` included).
+    _rows: list | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __len__(self) -> int:
         return int(self.start.shape[0])
@@ -126,10 +129,10 @@ class RecordChunk:
 
     @classmethod
     def from_records(cls, records) -> "RecordChunk":
-        """Chunk from a sequence of :class:`IORecord` (the slow inverse)."""
+        """Chunk from a sequence of :class:`IORecord`."""
         records = list(records)
         n = len(records)
-        return cls.build(
+        chunk = cls.build(
             pid=np.fromiter((r.pid for r in records), np.int64, count=n),
             nbytes=np.fromiter((r.nbytes for r in records), np.int64,
                                count=n),
@@ -143,6 +146,8 @@ class RecordChunk:
                                 count=n),
             retries=np.fromiter((r.retries for r in records), np.int32,
                                 count=n))
+        chunk._rows = records
+        return chunk
 
     @classmethod
     def from_columns(cls, columns: dict) -> "RecordChunk":
@@ -186,7 +191,10 @@ class RecordChunk:
             success=self.success[index], retries=self.retries[index])
 
     def records(self) -> Iterator[IORecord]:
-        """Materialise rows (fallback for non-columnar group keys)."""
+        """The rows as records (for row-level key functions)."""
+        if self._rows is not None:
+            yield from self._rows
+            return
         for k in range(len(self)):
             yield IORecord(
                 pid=int(self.pid[k]), op=str(self.op[k]),
@@ -194,6 +202,14 @@ class RecordChunk:
                 end=float(self.end[k]), offset=int(self.offset[k]),
                 success=bool(self.success[k]),
                 retries=int(self.retries[k]))
+
+    def keys(self, key_of) -> np.ndarray:
+        """Per-row ``key_of(record)`` as an object array — one columnar
+        call when ``key_of`` offers ``column(chunk)``."""
+        column = getattr(key_of, "column", None)
+        if column is not None:
+            return column(self)
+        return np.array([key_of(r) for r in self.records()], dtype=object)
 
     def intervals(self) -> np.ndarray:
         """(n, 2) float array of (start, end) pairs, in row order."""

@@ -24,7 +24,7 @@ gaps far below clock resolution; batching keeps total slept time
 identical while making the sleep count proportional to replayed
 duration, not record count.  ``chunk_size`` switches delivery to
 columnar :meth:`~repro.live.stream.MetricStream.push_chunk` batches
-(the vectorised path), and ``workers >= 2`` fans those chunks out over
+(chunk-granular lateness), and ``workers >= 2`` fans those chunks out over
 a :class:`~repro.live.shard.ShardedMetricStream`; all three paths
 settle the same cumulative metrics bit-for-bit.
 """
@@ -137,7 +137,7 @@ def watch_trace(
     Attribution needs the full record stream in one process and is
     rejected with ``workers >= 2``.
 
-    ``chunk_size`` selects the vectorised ingest: records are delivered
+    ``chunk_size`` selects chunked ingest: records are delivered
     as columnar chunks of that many rows (still in completion order)
     instead of one at a time.  ``workers >= 2`` additionally shards the
     chunks across that many forked worker processes

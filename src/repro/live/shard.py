@@ -154,15 +154,13 @@ class ShardedMetricStream:
         sync_every: int = 8,
         sync_timeout: float = 60.0,
         max_respawns: int = 4,
-        max_pending: int | None = None,
+        max_pending: int = 4096,
         watermark_lag: float = 0.0,
         late_policy: str = "merge",
         sinks: Iterable = (),
         sink_errors: str | None = None,
         sink_max_failures: int = 5,
         detector=None,
-        group_by: dict | None = None,
-        group_columns: dict | None = None,
     ) -> None:
         if shards < 1:
             raise LiveStreamError(f"shard count must be >= 1, got {shards}")
@@ -187,8 +185,7 @@ class ShardedMetricStream:
         self._stream_kwargs = dict(
             window=window, block_size=block_size,
             max_pending=max_pending, watermark_lag=watermark_lag,
-            late_policy=late_policy, group_by=group_by,
-            group_columns=group_columns)
+            late_policy=late_policy)
         self.shards = shards if fork_available() else 1
         self._inline: MetricStream | None = None
         if self.shards <= 1:

@@ -1,7 +1,9 @@
 """The live metric pipeline: windowed + cumulative BPS while records arrive.
 
-:class:`MetricStream` consumes completed I/O records one at a time (from
-the tracing-middleware tap or a trace replay) and maintains, online:
+:class:`MetricStream` consumes completed I/O records — one at a time
+(:meth:`MetricStream.ingest`, from the tracing-middleware tap or a
+trace replay) or as columnar chunks (:meth:`MetricStream.push_chunk`) —
+and maintains, online:
 
 - **cumulative** metrics — B, N, bytes, and the streaming union time,
   so BPS/IOPS/bandwidth are exact at any moment and the *final*
@@ -20,12 +22,17 @@ the tracing-middleware tap or a trace replay) and maintains, online:
   of the box, plus any caller-supplied grouping (the live tap adds a
   per-server key on parallel file systems).
 
+Both entry points feed the union directly; everything else is updated
+by one columnar fold (:meth:`MetricStream._fold`).  ``ingest`` buffers
+its rows and folds them before any window closes, before any read of
+stream state, and when the buffer fills, so the buffer is never seen.
+
 Windows close when the watermark passes their right edge; closing emits
 a ``window`` event to every attached sink and feeds the anomaly
-detector.  A late record that lands in an already-closed window is
-folded into the stored stats (cumulative figures stay exact) and
-counted in :attr:`MetricStream.late_window_updates`; the closed-window
-event already emitted is *provisional* in that case, and
+detector.  A late record that lands in a window below the emission
+pointer is folded into the stored stats (cumulative figures stay
+exact) and counted in :attr:`MetricStream.late_window_updates`; a
+closed-window event already emitted is *provisional* in that case, and
 :meth:`finalize` returns the corrected series.
 """
 
@@ -41,9 +48,13 @@ from repro.core.intervals import merge_intervals, union_time
 from repro.core.metrics import MetricSet
 from repro.core.records import IORecord
 from repro.errors import LiveStreamError
+from repro.live.chunk import RecordChunk
 from repro.live.sinks import apply_sink_policy
 from repro.live.union import StreamingUnion
-from repro.util.units import BLOCK_SIZE, bytes_to_blocks
+from repro.util.units import BLOCK_SIZE
+
+#: Rows :meth:`MetricStream.ingest` buffers before folding them.
+_ROW_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -124,35 +135,37 @@ class LiveResult:
 
 
 class _WindowAgg:
-    __slots__ = ("ops", "blocks", "bytes", "dur_sum", "intervals",
-                 "interval_arrays", "emitted")
+    """One window's raw material, one array per fold.  Every figure is
+    derived order-independently (a union, exactly rounded sums), so how
+    rows were batched into folds never changes a window's stats."""
+
+    __slots__ = ("ops", "masses", "durations", "interval_arrays")
 
     def __init__(self) -> None:
         self.ops = 0
-        self.blocks = 0.0
-        self.bytes = 0.0
-        self.dur_sum = 0.0
-        #: Clipped intervals from per-record ingest (tuples)...
-        self.intervals: list[tuple[float, float]] = []
-        #: ...and from chunked ingest ((k, 2) arrays, one per chunk).
-        #: The window union is order-independent, so the split storage
-        #: never changes the closed window's I/O time.
+        #: (k, 2) arrays of (blocks, bytes) overlap shares.
+        self.masses: list[np.ndarray] = []
+        #: Response times of the rows starting in this window.
+        self.durations: list[np.ndarray] = []
+        #: Clipped (k, 2) intervals.
         self.interval_arrays: list[np.ndarray] = []
-        self.emitted = False
 
     def combined_intervals(self) -> np.ndarray | None:
         """Every clipped interval of this window as one (n, 2) array."""
-        parts: list[np.ndarray] = []
-        if self.intervals:
-            parts.append(np.asarray(self.intervals, dtype=float))
-        parts.extend(self.interval_arrays)
+        parts = self.interval_arrays
         if not parts:
             return None
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def is_empty(self) -> bool:
-        return (self.ops == 0 and not self.intervals
-                and not self.interval_arrays and self.blocks == 0.0)
+    def totals(self) -> tuple[float, float, float]:
+        """(blocks, bytes, duration sum), each correctly rounded."""
+        blocks = nbytes = dur_sum = 0.0
+        if self.masses:
+            blocks, nbytes = (math.fsum(column) for column in
+                              np.concatenate(self.masses).T.tolist())
+        if self.durations:
+            dur_sum = math.fsum(np.concatenate(self.durations).tolist())
+        return blocks, nbytes, dur_sum
 
 
 class _GroupAgg:
@@ -165,16 +178,6 @@ class _GroupAgg:
         self.union = StreamingUnion()
 
 
-def _row_key_from_columns(fn) -> Callable[[IORecord], str]:
-    """Row-level key for a group that only has a columnar key fn."""
-    from repro.live.chunk import RecordChunk
-
-    def key_of(record: IORecord) -> str:
-        return str(fn(RecordChunk.from_records([record]))[0])
-
-    return key_of
-
-
 class MetricStream:
     """Online BPS/IOPS/bandwidth/ARPT over a stream of I/O records."""
 
@@ -184,8 +187,7 @@ class MetricStream:
         window: float,
         block_size: int = BLOCK_SIZE,
         origin: float | None = None,
-        reorder_capacity: int = 4096,
-        max_pending: int | None = None,
+        max_pending: int = 4096,
         watermark_lag: float = 0.0,
         late_policy: str = "merge",
         sinks: Iterable = (),
@@ -194,7 +196,6 @@ class MetricStream:
         detector=None,
         attributor=None,
         group_by: dict[str, Callable[[IORecord], str]] | None = None,
-        group_columns: dict[str, Callable] | None = None,
     ) -> None:
         if not (window > 0) or math.isnan(window):
             raise LiveStreamError(f"window width must be > 0, got {window}")
@@ -210,13 +211,8 @@ class MetricStream:
         self.attributor = attributor
         if attributor is not None and attributor.graph.origin is None:
             # Sync the graph's window grid now if the anchor is known;
-            # otherwise ingest() pins both to the first record's start.
+            # otherwise the first fold pins both to the first row's start.
             attributor.graph.origin = origin
-        # Bound method cache: the attributor feed runs once per
-        # record inside ingest(); skipping two attribute chases there
-        # is measurable at trace scale.
-        self._attr_add = None if attributor is None else \
-            attributor.graph.add_record
         # sink_errors None/'raise' keeps sinks transparent; 'warn' /
         # 'disable' wrap them fail-safe (repro.live.sinks.FailSafeSink)
         # so a dying sink cannot corrupt the metric stream.
@@ -224,19 +220,21 @@ class MetricStream:
                                        sink_max_failures)
         self.detector = detector
         # ``max_pending`` is the explicit memory bound on the reorder
-        # heap (the preferred spelling; ``reorder_capacity`` remains as
-        # the historical alias).  When the heap would exceed it, the
-        # watermark is *forced* forward past the oldest pending start —
-        # a documented degradation: cumulative metrics stay exact (the
-        # insertion path is order-independent), but records arriving
-        # under the forced watermark count as late and their windows
-        # are only corrected at finalize.  Trips are counted in
+        # heap.  When the heap would exceed it, the watermark is
+        # *forced* forward past the oldest pending start — a documented
+        # degradation: cumulative metrics stay exact (the insertion
+        # path is order-independent), but records arriving under the
+        # forced watermark count as late and their windows are only
+        # corrected at finalize.  Trips are counted in
         # :attr:`forced_watermarks`.
-        if max_pending is not None:
-            reorder_capacity = max_pending
-        self._union = StreamingUnion(reorder_capacity=reorder_capacity,
+        self._union = StreamingUnion(reorder_capacity=max_pending,
                                      watermark_lag=watermark_lag,
                                      late_policy=late_policy)
+        #: Rows ingest() has not folded yet, their lowest start and
+        #: its window.
+        self._rows: list[IORecord] = []
+        self._rows_start = math.inf
+        self._rows_index: int | None = None
         # Cumulative counters.
         self._ops = 0
         self._blocks = 0
@@ -258,11 +256,11 @@ class MetricStream:
         #: it hold only spillover from earlier starts, so their silence
         #: is end-of-trace, not a stall (see :meth:`_observe`).
         self._last_start_index: int | None = None
-        self.late_window_updates = 0
+        self._late_window_updates = 0
         #: Emitted windows later corrected by late records; re-judged
         #: against the detector baseline at finalize so a flag earned
         #: by the corrected stats still reaches the sinks.
-        self._dirty_windows: set[int] = set()
+        self._dirty: set[int] = set()
         #: window index -> the rolling baseline it was judged against
         #: when first observed (the finalize re-judgement must use the
         #: same baseline, not the end-of-run one).
@@ -274,15 +272,9 @@ class MetricStream:
         }
         keyed.update(group_by or {})
         self._group_keys = keyed
-        #: Names whose row-level key fn was caller-supplied: the chunked
-        #: path may not substitute its builtin columnar pid/op keys.
+        #: Names whose row-level key fn was caller-supplied: the fold
+        #: may not substitute its builtin columnar pid/op keys.
         self._custom_groups = set(group_by or {})
-        #: name -> fn(RecordChunk) -> per-row key array; the columnar
-        #: counterpart of ``group_by`` for the chunked ingest path.
-        self._group_columns = dict(group_columns or {})
-        for name in self._group_columns:
-            self._group_keys.setdefault(
-                name, _row_key_from_columns(self._group_columns[name]))
         self._groups: dict[str, dict[str, _GroupAgg]] = {
             name: {} for name in self._group_keys
         }
@@ -292,66 +284,68 @@ class MetricStream:
     # -- ingest ------------------------------------------------------------
 
     def ingest(self, record: IORecord) -> None:
-        """Fold one completed I/O record into the stream."""
+        """Fold one completed I/O record into the stream.
+
+        The union (watermark, reorder heap, lateness) takes the record
+        at once; the rest of the update waits in the row buffer.
+        """
         if self._finalized:
             raise LiveStreamError("ingest() after finalize()")
         if self.origin is None:
             self.origin = record.start
-        if self._attr_add is not None:
-            self._attr_add(record)
         self._union.add(record.start, record.end)
-        blocks = bytes_to_blocks(record.nbytes, self.block_size)
-        self._ops += 1
-        self._blocks += blocks
-        self._bytes += record.nbytes
-        self._dur_sum += record.duration
-        if not record.success:
-            self._failed += 1
-        self._retries += record.retries
-        if record.start < self._first_start:
-            self._first_start = record.start
-        if record.end > self._last_end:
-            self._last_end = record.end
-        for name, key_of in self._group_keys.items():
-            agg = self._groups[name].setdefault(key_of(record), _GroupAgg())
-            agg.ops += 1
-            agg.blocks += blocks
-            agg.bytes += record.nbytes
-            agg.union.add(record.start, record.end)
-        self._spread_into_windows(record, blocks)
+        self._rows.append(record)
+        if record.start < self._rows_start:
+            self._rows_start = record.start
+            self._rows_index = self._index_of(record.start)
+        if len(self._rows) >= _ROW_BUFFER:
+            self._flush()
         self._close_settled_windows()
 
     def push_chunk(self, chunk) -> None:
         """Fold one columnar :class:`~repro.live.chunk.RecordChunk` in.
 
-        The vectorised ingest path: windows, breakdowns, and the union
-        update with array ops — no per-record Python.  Equivalent to
-        calling :meth:`ingest` on every row in row order, with two
-        documented deviations (see :mod:`repro.live.chunk`): per-window
-        float masses and the ARPT duration sum agree only to float
-        re-association, and watermark/lateness accounting is chunk-
-        granular (rows inside one chunk are never late relative to each
-        other, and window events close at chunk boundaries — finalize
-        settles the same exact series either way).
+        Equivalent to calling :meth:`ingest` on every row in row order,
+        except that lateness is chunk-granular and the cumulative ARPT
+        sum may re-associate (see :mod:`repro.live.chunk`).
 
         The chunk is trusted: validation happens in
         :meth:`RecordChunk.build` / :meth:`RecordChunk.from_columns`.
         """
         if self._finalized:
             raise LiveStreamError("push_chunk() after finalize()")
-        n = len(chunk)
-        if n == 0:
+        if len(chunk) == 0:
             return
+        self._flush()
         if self.origin is None:
             self.origin = float(chunk.start[0])
+        self._union.add_batch(chunk.intervals())
+        self._fold(chunk)
+        self._close_settled_windows()
+
+    def advance_watermark(self, to: float) -> None:
+        """Externally promise no future record starts below ``to``."""
+        self._union.advance_watermark(to)
+        self._close_settled_windows()
+
+    def _flush(self) -> None:
+        """Fold the rows :meth:`ingest` buffered as one chunk."""
+        if self._rows:
+            rows = self._rows
+            self._rows = []
+            self._rows_start = math.inf
+            self._rows_index = None
+            self._fold(RecordChunk.from_records(rows))
+
+    def _fold(self, chunk) -> None:
+        """The one window/group/counter/graph update (not the union)."""
         if self.attributor is not None:
             if self.attributor.graph.origin is None:
                 self.attributor.graph.origin = self.origin
             self.attributor.add_chunk(chunk)
-        self._union.add_batch(chunk.intervals())
         blocks = -(-chunk.nbytes // self.block_size)
         duration = chunk.end - chunk.start
-        self._ops += n
+        self._ops += len(chunk)
         self._blocks += int(blocks.sum())
         self._bytes += int(chunk.nbytes.sum())
         self._dur_sum += float(duration.sum())
@@ -365,12 +359,6 @@ class MetricStream:
             self._last_end = last_end
         self._spread_chunk_groups(chunk, blocks)
         self._spread_chunk_windows(chunk, blocks, duration)
-        self._close_settled_windows()
-
-    def advance_watermark(self, to: float) -> None:
-        """Externally promise no future record starts below ``to``."""
-        self._union.advance_watermark(to)
-        self._close_settled_windows()
 
     # -- windows -----------------------------------------------------------
 
@@ -381,57 +369,18 @@ class MetricStream:
         return (self.origin + index * self.window,
                 self.origin + (index + 1) * self.window)
 
-    def _spread_into_windows(self, record: IORecord, blocks: int) -> None:
-        first = self._index_of(record.start)
-        agg = self._windows.setdefault(first, _WindowAgg())
-        agg.ops += 1
-        agg.dur_sum += record.duration
-        if agg.emitted:
-            self.late_window_updates += 1
-            self._dirty_windows.add(first)
-        last_index = first
-        if record.duration == 0.0:
-            agg.blocks += blocks
-            agg.bytes += record.nbytes
-        else:
-            last = self._index_of(record.end)
-            # A record ending exactly on a window edge contributes
-            # nothing to the window it "starts": clip to [start, end).
-            if last > first and record.end == self._window_bounds(last)[0]:
-                last -= 1
-            last_index = last
-            for index in range(first, last + 1):
-                w0, w1 = self._window_bounds(index)
-                lo = max(record.start, w0)
-                hi = min(record.end, w1)
-                if hi <= lo and index != first:
-                    continue
-                part = self._windows.setdefault(index, _WindowAgg())
-                if part.emitted and index != first:
-                    self.late_window_updates += 1
-                    self._dirty_windows.add(index)
-                fraction = max(hi - lo, 0.0) / record.duration
-                part.blocks += blocks * fraction
-                part.bytes += record.nbytes * fraction
-                if hi > lo:
-                    part.intervals.append((lo, hi))
-        if self._min_index is None or first < self._min_index:
-            self._min_index = first
-        if self._max_index is None or last_index > self._max_index:
-            self._max_index = last_index
-        if self._last_start_index is None or \
-                first > self._last_start_index:
-            self._last_start_index = first
-
     def _spread_chunk_windows(self, chunk, blocks: np.ndarray,
                               duration: np.ndarray) -> None:
-        """Vectorised twin of :meth:`_spread_into_windows`.
+        """Spread a chunk's ops/mass/clipped intervals over its windows.
 
         Expands each record into its (record, window) overlap pairs with
         a repeat/arange trick, computes clip bounds and overlap
-        fractions elementwise (the exact scalar expressions, so clipped
-        endpoints are bit-identical), then accumulates per-window mass
-        with ``bincount`` — which sums in pair order, i.e. record order.
+        fractions elementwise (clipped endpoints are selected, never
+        computed, so window unions are exact), then hands each window
+        its slice of the pairs; :meth:`_WindowAgg.totals` sums them
+        exactly.  A row landing in a window below the emission pointer
+        counts as a late window update and marks the window dirty,
+        whether or not that window was ever emitted.
         """
         origin = self.origin
         window = self.window
@@ -440,7 +389,7 @@ class MetricStream:
         first = np.floor((start - origin) / window).astype(np.int64)
         last = np.floor((end - origin) / window).astype(np.int64)
         # A record ending exactly on a window edge contributes nothing
-        # to that window: clip to [start, end) — the scalar rule.
+        # to that window: clip to [start, end).
         edge = (last > first) & (end == origin + last * window)
         last = last - edge
         zero = duration == 0.0
@@ -463,45 +412,38 @@ class MetricStream:
         # Zero-duration records put their whole mass in the start window.
         contrib = np.where(zero[rec_of], 1.0, frac)
 
-        uniq, inv = np.unique(widx, return_inverse=True)
-        nuniq = uniq.shape[0]
-        blocks_mass = np.bincount(inv, weights=blocks[rec_of] * contrib,
-                                  minlength=nuniq)
-        bytes_mass = np.bincount(inv, weights=chunk.nbytes[rec_of] * contrib,
-                                 minlength=nuniq)
-        first_inv = inv[is_first]  # one pair per record, in record order
-        ops_add = np.bincount(first_inv, minlength=nuniq)
-        dur_add = np.bincount(first_inv, weights=duration,
-                              minlength=nuniq)
         if self._next_emit is not None:
             relevant = is_first | (hi > lo)
             late_pairs = relevant & (widx < self._next_emit)
-            self.late_window_updates += int(np.count_nonzero(late_pairs))
+            self._late_window_updates += int(np.count_nonzero(late_pairs))
             if np.any(late_pairs):
-                self._dirty_windows.update(
+                self._dirty.update(
                     int(i) for i in np.unique(widx[late_pairs]))
 
+        # Hand each window its slice of the pairs (stable sort: record
+        # order within a window).
+        order = np.argsort(widx, kind="stable")
+        owner = widx[order]
+        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        bounds = np.append(heads, total).tolist()
+        masses = np.column_stack((blocks[rec_of] * contrib,
+                                  chunk.nbytes[rec_of] * contrib))[order]
+        starts_here = is_first[order]
+        durations = dur_pairs[order]
+        clipped = np.column_stack((lo, hi))[order]
+        timed = (hi > lo)[order]
         windows = self._windows
-        for j, index in enumerate(uniq.tolist()):
+        for index, a, b in zip(owner[heads].tolist(), bounds, bounds[1:]):
             agg = windows.get(index)
             if agg is None:
                 agg = windows[index] = _WindowAgg()
-            agg.ops += int(ops_add[j])
-            agg.blocks += float(blocks_mass[j])
-            agg.bytes += float(bytes_mass[j])
-            agg.dur_sum += float(dur_add[j])
-
-        imask = hi > lo
-        if np.any(imask):
-            owner = widx[imask]
-            clipped = np.column_stack((lo[imask], hi[imask]))
-            order = np.argsort(owner, kind="stable")
-            owner = owner[order]
-            clipped = clipped[order]
-            cuts = np.flatnonzero(np.diff(owner)) + 1
-            heads = np.concatenate(([0], cuts))
-            for head, part in zip(heads, np.split(clipped, cuts)):
-                windows[int(owner[head])].interval_arrays.append(part)
+            first_here = starts_here[a:b]
+            agg.ops += int(np.count_nonzero(first_here))
+            agg.masses.append(masses[a:b])
+            agg.durations.append(durations[a:b][first_here])
+            part = clipped[a:b][timed[a:b]]
+            if len(part):
+                agg.interval_arrays.append(part)
 
         fmin = int(first.min())
         fmax = int(first.max())
@@ -516,11 +458,6 @@ class MetricStream:
 
     def _chunk_groups(self, name: str, chunk) -> tuple[list[str], np.ndarray]:
         """(labels, per-row inverse) of group ``name`` over a chunk."""
-        fn = self._group_columns.get(name)
-        if fn is not None:
-            uniq, inv = np.unique(np.asarray(fn(chunk)),
-                                  return_inverse=True)
-            return [str(v) for v in uniq], inv
         if name == "pid" and name not in self._custom_groups:
             uniq, inv = np.unique(chunk.pid, return_inverse=True)
             return [str(int(v)) for v in uniq], inv
@@ -528,12 +465,12 @@ class MetricStream:
             uniq, inv = np.unique(np.asarray(chunk.op),
                                   return_inverse=True)
             return [str(v) for v in uniq], inv
-        # No columnar key: materialise rows for this group only (the
-        # escape hatch for caller-supplied ``group_by`` callables).
-        key_of = self._group_keys[name]
-        keys = np.array([key_of(r) for r in chunk.records()],
-                        dtype=object)
-        uniq, inv = np.unique(keys, return_inverse=True)
+        # Caller-supplied ``group_by`` keys are row-level: evaluated on
+        # the rows (the buffered records themselves when the chunk came
+        # from ingest, so fields the chunk drops — ``file`` — are still
+        # there) unless the key offers a columnar form.
+        uniq, inv = np.unique(chunk.keys(self._group_keys[name]),
+                              return_inverse=True)
         return [str(v) for v in uniq], inv
 
     def _spread_chunk_groups(self, chunk, blocks: np.ndarray) -> None:
@@ -561,46 +498,48 @@ class MetricStream:
                     intervals if nuniq == 1 else intervals[inv == g])
 
     def _close_settled_windows(self) -> None:
-        if self._min_index is None:
-            return
+        """Emit every window the watermark has passed, folding the row
+        buffer first whenever a close is due.  The emission pointer
+        starts at the lowest window seen, buffered rows included
+        (``_min_index`` only covers folded ones)."""
         watermark = self._union.watermark
-        if not math.isfinite(watermark):
-            if watermark == math.inf:
-                settled = self._max_index + 1
-            else:
-                return
-        else:
-            settled = self._index_of(watermark)
+        if watermark == -math.inf:
+            return
         if self._next_emit is None:
-            self._next_emit = self._min_index
+            lowest = [i for i in (self._min_index, self._rows_index)
+                      if i is not None]
+            if not lowest:
+                return
+            self._next_emit = min(lowest)
+        if watermark != math.inf and \
+                self._next_emit >= self._index_of(watermark):
+            return
+        self._flush()
+        settled = (self._max_index + 1 if watermark == math.inf
+                   else self._index_of(watermark))
         while self._next_emit < settled and \
                 self._next_emit <= self._max_index:
             index = self._next_emit
             self._next_emit = index + 1
             stats = self._window_stats(index)
-            agg = self._windows.setdefault(index, _WindowAgg())
-            agg.emitted = True
             self._emit(stats.as_event())
             self._observe(stats)
 
     def _window_stats(self, index: int) -> WindowStats:
         w0, w1 = self._window_bounds(index)
-        agg = self._windows.get(index)
-        if agg is None or agg.is_empty():
-            return WindowStats(index=index, start=w0, end=w1, ops=0,
-                               blocks=0.0, bytes=0.0, io_time=0.0,
-                               bps=0.0, iops=0.0, bandwidth=0.0, arpt=0.0)
+        agg = self._windows.get(index) or _WindowAgg()
+        blocks, nbytes, dur_sum = agg.totals()
         combined = agg.combined_intervals()
         io_time = union_time(combined) if combined is not None else 0.0
         if io_time > 0.0:
-            bps = agg.blocks / io_time
+            bps = blocks / io_time
             iops = agg.ops / io_time
-            bandwidth = agg.bytes / io_time
+            bandwidth = nbytes / io_time
         else:
             bps = iops = bandwidth = 0.0
-        arpt = agg.dur_sum / agg.ops if agg.ops else 0.0
+        arpt = dur_sum / agg.ops if agg.ops else 0.0
         return WindowStats(index=index, start=w0, end=w1, ops=agg.ops,
-                           blocks=agg.blocks, bytes=agg.bytes,
+                           blocks=blocks, bytes=nbytes,
                            io_time=io_time, bps=bps, iops=iops,
                            bandwidth=bandwidth, arpt=arpt)
 
@@ -649,10 +588,10 @@ class MetricStream:
         sinks before they close.  (The attributor's bucket for such a
         window is long pruned — corrected flags carry no suspects.)
         """
-        if self.detector is None or not self._dirty_windows:
+        if self.detector is None or not self._dirty:
             return
         flagged = {a.window_index for a in self.anomalies}
-        for index in sorted(self._dirty_windows):
+        for index in sorted(self._dirty):
             if index in flagged:
                 continue
             baseline = self._judged_baselines.get(index)
@@ -668,19 +607,32 @@ class MetricStream:
         for sink in self.sinks:
             sink.emit(event)
 
-    # -- queries -----------------------------------------------------------
+    # -- queries (each read of folded state folds the buffer first) ------
 
     @property
     def ops(self) -> int:
+        self._flush()
         return self._ops
 
     @property
     def blocks(self) -> int:
+        self._flush()
         return self._blocks
 
     @property
     def nbytes(self) -> int:
+        self._flush()
         return self._bytes
+
+    @property
+    def late_window_updates(self) -> int:
+        self._flush()
+        return self._late_window_updates
+
+    @property
+    def _dirty_windows(self) -> set[int]:
+        self._flush()
+        return self._dirty
 
     @property
     def late_records(self) -> int:
@@ -712,6 +664,7 @@ class MetricStream:
 
     def snapshot(self, *, emit: bool = False) -> LiveSnapshot:
         """Exact cumulative metrics at this instant."""
+        self._flush()
         t = self._union.union_time()
         snap = LiveSnapshot(
             time=self._last_end if self._ops else 0.0,
@@ -731,6 +684,7 @@ class MetricStream:
 
     def breakdown(self, name: str) -> tuple[GroupStats, ...]:
         """Cumulative per-group stats ('pid', 'op', or a custom group)."""
+        self._flush()
         try:
             groups = self._groups[name]
         except KeyError:
@@ -761,21 +715,25 @@ class MetricStream:
         and scalars only) and doubles as the shard respawn snapshot
         consumed by :meth:`restore_state`.
         """
+        self._flush()
         windows = {}
         for index, agg in self._windows.items():
             combined = agg.combined_intervals()
             segments = (np.empty((0, 2)) if combined is None
                         else merge_intervals(combined))
+            blocks, nbytes, dur_sum = agg.totals()
             if compact:
                 # Replace the accumulated clip lists with their merged
-                # segments (union-of-unions: no information lost) so
-                # repeated snapshots stay O(open windows), not O(run).
-                agg.intervals = []
+                # segments (union-of-unions: no information lost) and
+                # the mass arrays with their sums, so repeated
+                # snapshots stay O(open windows), not O(run).
                 agg.interval_arrays = (
                     [segments] if len(segments) else [])
+                agg.masses = [np.array([[blocks, nbytes]])]
+                agg.durations = [np.array([dur_sum])]
             windows[int(index)] = {
-                "ops": agg.ops, "blocks": agg.blocks,
-                "bytes": agg.bytes, "dur_sum": agg.dur_sum,
+                "ops": agg.ops, "blocks": blocks,
+                "bytes": nbytes, "dur_sum": dur_sum,
                 "segments": segments,
             }
         groups = {}
@@ -796,13 +754,13 @@ class MetricStream:
             "union_segments": self._union.segments(),
             "union_watermark": self._union.watermark,
             "late_records": self.late_records,
-            "late_window_updates": self.late_window_updates,
+            "late_window_updates": self._late_window_updates,
             "forced_watermarks": self.forced_watermarks,
             "min_index": self._min_index,
             "max_index": self._max_index,
             "last_start_index": self._last_start_index,
             "next_emit": self._next_emit,
-            "dirty_windows": sorted(self._dirty_windows),
+            "dirty_windows": sorted(self._dirty),
             "judged_baselines": sorted(self._judged_baselines.items()),
         } | {"windows": windows, "groups": groups}
 
@@ -815,7 +773,7 @@ class MetricStream:
         died — the crash test replays the buffered chunks afterwards and
         asserts the merged result is still bit-identical to batch.
         """
-        if self._finalized or self._ops:
+        if self._finalized or self.ops:
             raise LiveStreamError("restore_state() on a used stream")
         self.origin = state["origin"]
         self._ops = state["ops"]
@@ -833,26 +791,23 @@ class MetricStream:
         self._union.records_seen = state["ops"]
         self._union.late_records = state["late_records"]
         self._union.forced_watermarks = state["forced_watermarks"]
-        self.late_window_updates = state["late_window_updates"]
+        self._late_window_updates = state["late_window_updates"]
         self._min_index = state["min_index"]
         self._max_index = state["max_index"]
         self._last_start_index = state.get("last_start_index")
         self._next_emit = state["next_emit"]
-        self._dirty_windows = set(state.get("dirty_windows", ()))
+        self._dirty = set(state.get("dirty_windows", ()))
         self._judged_baselines = {
             int(index): value
             for index, value in state.get("judged_baselines", ())}
         for index, win in state["windows"].items():
             agg = _WindowAgg()
             agg.ops = win["ops"]
-            agg.blocks = win["blocks"]
-            agg.bytes = win["bytes"]
-            agg.dur_sum = win["dur_sum"]
+            agg.masses = [np.array([[win["blocks"], win["bytes"]]])]
+            agg.durations = [np.array([win["dur_sum"]])]
             if len(win["segments"]):
                 agg.interval_arrays.append(
                     np.asarray(win["segments"], dtype=float))
-            agg.emitted = (self._next_emit is not None
-                           and index < self._next_emit)
             self._windows[int(index)] = agg
         for name, keyed in state["groups"].items():
             groups = self._groups.setdefault(name, {})
@@ -879,6 +834,7 @@ class MetricStream:
         """
         if self._finalized:
             raise LiveStreamError("finalize() called twice")
+        self._flush()
         if self._ops == 0:
             raise LiveStreamError("finalize() on an empty stream")
         t = self._union.finalize()
@@ -915,7 +871,7 @@ class MetricStream:
                 "failed_records": self._failed,
                 "total_retries": self._retries,
                 "late_records": self.late_records,
-                "late_window_updates": self.late_window_updates,
+                "late_window_updates": self._late_window_updates,
                 "forced_watermarks": self.forced_watermarks,
             },
         )
@@ -926,7 +882,7 @@ class MetricStream:
             breakdowns={name: self.breakdown(name)
                         for name in self._groups},
             late_records=self.late_records,
-            late_window_updates=self.late_window_updates,
+            late_window_updates=self._late_window_updates,
         )
         self._emit({
             "type": "final", "ops": self._ops, "blocks": self._blocks,

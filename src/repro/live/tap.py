@@ -59,8 +59,12 @@ class LiveTap:
         group_by = {}
         server_of = None
         if system.pfs is not None:
+            from repro.diagnose.graph import StripeServerKey
+
             layout = system.pfs.default_layout
-            server_of = _server_key(layout)
+            server_of = StripeServerKey(
+                (f"server{server}" for server in layout.servers),
+                layout.stripe_size)
             group_by["server"] = server_of
         attributor = None
         if attribute:
@@ -133,22 +137,3 @@ class LiveTap:
         self.system.recorder.unsubscribe(self._on_record)
         return self.stream.finalize(exec_time=exec_time, label=label)
 
-
-def _server_key(layout):
-    """Group key: the server holding a record's first stripe.
-
-    A striped request touches several servers; attributing it to the
-    one serving its first byte keeps the breakdown cheap and stable
-    (requests at unknown offsets land in ``"?"``).
-    """
-    stripe_size = layout.stripe_size
-    servers = layout.servers
-    width = len(servers)
-
-    def key_of(record: IORecord) -> str:
-        if record.offset < 0:
-            return "?"
-        stripe = record.offset // stripe_size
-        return f"server{servers[stripe % width]}"
-
-    return key_of

@@ -19,6 +19,7 @@ from repro.diagnose import (
     ranked_suspects,
 )
 from repro.live.anomaly import Anomaly, BpsAnomalyDetector
+from repro.live.chunk import RecordChunk
 
 WINDOW = 0.1
 OFFSETS = (0, 65536, 131072)  # server0..server2 under 64 KiB stripes
@@ -28,6 +29,10 @@ def server_of(record):
     if record.offset < 0:
         return "?"
     return f"server{(record.offset // 65536) % 3}"
+
+
+def feed(att, *records):
+    att.add_chunk(RecordChunk.from_records(records))
 
 
 def stats_for(index, io_time=0.06):
@@ -62,7 +67,7 @@ def warmed_attributor(n_healthy=5, **kwargs):
     att = Attributor(**kwargs)
     for i in range(n_healthy):
         for record in healthy_records(i):
-            att.add_record(record)
+            feed(att, record)
         assert att.observe_window(stats_for(i), None) == ()
     return att
 
@@ -93,22 +98,22 @@ class TestDiffRules:
     def test_warmup_flag_yields_no_suspects(self):
         att = warmed_attributor(n_healthy=1)
         for record in healthy_records(1):
-            att.add_record(record)
+            feed(att, record)
         assert att.observe_window(stats_for(1), flag_for(1)) == ()
 
     def test_slow_server_becomes_server_degrade(self):
         att = warmed_attributor()
         w0 = 5 * WINDOW
         for pid in (0, 1):
-            att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
-                                    start=w0 + 0.005 * pid,
-                                    end=w0 + 0.005 * pid + 0.05,
-                                    offset=0))
+            feed(att, IORecord(pid=pid, op="read", nbytes=4096,
+                               start=w0 + 0.005 * pid,
+                               end=w0 + 0.005 * pid + 0.05,
+                               offset=0))
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
-                                        start=start, end=start + 0.01,
-                                        offset=offset))
+                feed(att, IORecord(pid=pid, op="read", nbytes=4096,
+                                   start=start, end=start + 0.01,
+                                   offset=offset))
         suspects = att.observe_window(stats_for(5), flag_for(5))
         assert suspects
         top = suspects[0]
@@ -121,15 +126,15 @@ class TestDiffRules:
         for pid in (0, 1):
             # 15x baseline, zero failures: parked at the wire, not
             # queued at the device.
-            att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
-                                    start=w0 + 0.005 * pid,
-                                    end=w0 + 0.005 * pid + 0.15,
-                                    offset=0))
+            feed(att, IORecord(pid=pid, op="read", nbytes=4096,
+                               start=w0 + 0.005 * pid,
+                               end=w0 + 0.005 * pid + 0.15,
+                               offset=0))
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
-                                        start=start, end=start + 0.01,
-                                        offset=offset))
+                feed(att, IORecord(pid=pid, op="read", nbytes=4096,
+                                   start=start, end=start + 0.01,
+                                   offset=offset))
         suspects = att.observe_window(stats_for(5), flag_for(5))
         top = suspects[0]
         assert (top.kind, top.target) == (LINK_DEGRADE, "server0")
@@ -138,16 +143,16 @@ class TestDiffRules:
         att = warmed_attributor()
         w0 = 5 * WINDOW
         for i in range(3):
-            att.add_record(IORecord(pid=0, op="read", nbytes=4096,
-                                    start=w0 + 0.01 * i,
-                                    end=w0 + 0.01 * i + 0.001,
-                                    offset=0, success=False, retries=2))
+            feed(att, IORecord(pid=0, op="read", nbytes=4096,
+                               start=w0 + 0.01 * i,
+                               end=w0 + 0.01 * i + 0.001,
+                               offset=0, success=False, retries=2))
         for pid in (0, 1):
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
-                                        start=start, end=start + 0.01,
-                                        offset=offset))
+                feed(att, IORecord(pid=pid, op="read", nbytes=4096,
+                                   start=start, end=start + 0.01,
+                                   offset=offset))
         suspects = att.observe_window(stats_for(5), flag_for(5))
         top = suspects[0]
         assert (top.kind, top.target) == (SERVER_STALL, "server0")
@@ -164,10 +169,10 @@ class TestDiffRules:
         before = len(att._baseline)
         w0 = 5 * WINDOW
         for i in range(10):
-            att.add_record(IORecord(pid=0, op="read", nbytes=4096,
-                                    start=w0 + 0.005 * i,
-                                    end=w0 + 0.005 * i + 0.0005,
-                                    offset=0, success=False, retries=1))
+            feed(att, IORecord(pid=0, op="read", nbytes=4096,
+                               start=w0 + 0.005 * i,
+                               end=w0 + 0.005 * i + 0.0005,
+                               offset=0, success=False, retries=1))
         # Detector silent (fail-fast storms RAISE windowed BPS), but
         # the window must not poison later diffs.
         att.observe_window(stats_for(5), None)

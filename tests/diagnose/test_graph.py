@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.records import IORecord
 from repro.diagnose import DiagnoseError, TraceGraph, WindowGraph
-from repro.live.chunk import chunk_trace
+from repro.live.chunk import RecordChunk, chunk_trace
 from repro.core.records import TraceCollection
 
 
@@ -14,6 +14,10 @@ def rec(pid=0, op="read", nbytes=4096, start=0.0, end=0.01, *,
         offset=-1, success=True, retries=0):
     return IORecord(pid=pid, op=op, nbytes=nbytes, start=start, end=end,
                     offset=offset, success=success, retries=retries)
+
+
+def add(graph, *records):
+    graph.add_chunk(RecordChunk.from_records(records))
 
 
 def server_of_offset(record):
@@ -58,7 +62,7 @@ class TestConfig:
 
     def test_origin_defaults_to_first_record(self):
         g = TraceGraph(window=0.1)
-        g.add_record(rec(start=5.03, end=5.04))
+        add(g, rec(start=5.03, end=5.04))
         assert g.origin == 5.03
         assert g.window_graph(0).ops == 1
 
@@ -67,14 +71,14 @@ class TestBucketing:
     def test_record_lands_wholly_in_start_window(self):
         g = TraceGraph(window=0.1, origin=0.0)
         # Starts in window 0, ends deep inside window 2.
-        g.add_record(rec(start=0.05, end=0.25))
+        add(g, rec(start=0.05, end=0.25))
         assert g.window_graph(0).ops == 1
         assert g.window_graph(1).ops == 0
         assert g.window_graph(2).ops == 0
 
     def test_dur_sum_is_unclipped_occupancy_is_clipped(self):
         g = TraceGraph(window=0.1, origin=0.0, server_of=server_of_offset)
-        g.add_record(rec(start=0.05, end=0.25, offset=0))
+        add(g, rec(start=0.05, end=0.25, offset=0))
         wg = g.window_graph(0)
         # Full 0.2 s response time, but only 0.05 s inside window 0.
         assert wg.dur_sum == pytest.approx(0.2)
@@ -85,27 +89,27 @@ class TestBucketing:
 
     def test_occupancy_is_union_not_sum(self):
         g = TraceGraph(window=0.1, origin=0.0, server_of=server_of_offset)
-        g.add_record(rec(start=0.01, end=0.05, offset=0))
-        g.add_record(rec(pid=1, start=0.02, end=0.06, offset=0))
+        add(g, rec(start=0.01, end=0.05, offset=0))
+        add(g, rec(pid=1, start=0.02, end=0.06, offset=0))
         assert g.window_graph(0).occupancy["server0"] == \
             pytest.approx(0.05)  # overlap collapsed
 
     def test_failures_and_retries_accumulate(self):
         g = TraceGraph(window=0.1, origin=0.0)
-        g.add_record(rec(success=False, retries=2))
-        g.add_record(rec(retries=1))
+        add(g, rec(success=False, retries=2))
+        add(g, rec(retries=1))
         wg = g.window_graph(0)
         assert wg.failures == 1
         assert wg.retries == 3
 
     def test_blocks_round_up(self):
         g = TraceGraph(window=0.1, origin=0.0, block_size=512)
-        g.add_record(rec(nbytes=513))
+        add(g, rec(nbytes=513))
         assert g.window_graph(0).edges[0].blocks == 2
 
     def test_no_server_key_degrades_to_question_mark(self):
         g = TraceGraph(window=0.1, origin=0.0)
-        g.add_record(rec())
+        add(g, rec())
         assert g.window_graph(0).edges[0].server == "?"
 
     def test_untouched_window_is_empty(self):
@@ -133,7 +137,7 @@ class TestOrderIndependence:
         g = TraceGraph(window=0.1, origin=0.0,
                        server_of=server_of_offset)
         for r in records:
-            g.add_record(r)
+            add(g, r)
         return g
 
     def test_shuffled_ingest_builds_identical_graphs(self):
@@ -163,8 +167,8 @@ class TestOrderIndependence:
 class TestPop:
     def test_pop_releases_the_bucket(self):
         g = TraceGraph(window=0.1, origin=0.0)
-        g.add_record(rec(start=0.01, end=0.02))
-        g.add_record(rec(start=0.15, end=0.16))
+        add(g, rec(start=0.01, end=0.02))
+        add(g, rec(start=0.15, end=0.16))
         assert g.open_windows == 2
         first = g.pop_window(0)
         assert first.ops == 1
@@ -175,11 +179,11 @@ class TestPop:
     def test_by_server_and_by_pid_aggregate_edges(self):
         g = TraceGraph(window=0.1, origin=0.0,
                        server_of=server_of_offset)
-        g.add_record(rec(pid=0, op="read", offset=0, start=0.0, end=0.01))
-        g.add_record(rec(pid=0, op="write", offset=0, start=0.0,
-                         end=0.02, retries=1))
-        g.add_record(rec(pid=1, op="read", offset=65536, start=0.0,
-                         end=0.03, success=False))
+        add(g, rec(pid=0, op="read", offset=0, start=0.0, end=0.01))
+        add(g, rec(pid=0, op="write", offset=0, start=0.0,
+                   end=0.02, retries=1))
+        add(g, rec(pid=1, op="read", offset=65536, start=0.0,
+                   end=0.03, success=False))
         wg = g.pop_window(0)
         srv = wg.by_server()
         assert srv["server0"][0] == 2  # ops

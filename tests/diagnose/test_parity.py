@@ -81,7 +81,9 @@ class TestStreamingOfflineParity:
         assert ranked_suspects(live.anomalies) == diag.suspects
         assert diag.top_suspect == ranked_suspects(live.anomalies)[0]
 
-    def test_chunked_replay_matches_per_record(self, crash_run):
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, None])
+    def test_chunked_replay_matches_per_record(self, crash_run,
+                                               chunk_size):
         _live, trace, exec_time = crash_run
         by_record = watch_trace(trace, window=WINDOW, origin=0.0,
                                 detector=detector(), attribute=True,
@@ -89,7 +91,8 @@ class TestStreamingOfflineParity:
                                 watermark_lag=LAG,
                                 exec_time=exec_time)
         chunked = watch_trace(trace, window=WINDOW, origin=0.0,
-                              chunk_size=64, detector=detector(),
+                              chunk_size=chunk_size,
+                              detector=detector(),
                               attribute=True,
                               server_of=stripe_server_of(3),
                               watermark_lag=LAG,

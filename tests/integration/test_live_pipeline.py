@@ -134,7 +134,7 @@ class TestStreamedEqualsBatchOnCorpus:
             records = list(trace)
             random.Random(13).shuffle(records)
             stream = MetricStream(window=0.02, block_size=512,
-                                  reorder_capacity=len(records))
+                                  max_pending=len(records))
             for record in records:
                 stream.ingest(record)
             result = stream.finalize()

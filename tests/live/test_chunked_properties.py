@@ -23,7 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import compute_metrics
 from repro.core.records import IORecord, TraceCollection
-from repro.live import MetricStream, RecordChunk, ShardedMetricStream
+from repro.live import (
+    MemorySink,
+    MetricStream,
+    RecordChunk,
+    ShardedMetricStream,
+)
 
 finite_start = st.floats(min_value=0.0, max_value=100.0,
                          allow_nan=False, allow_infinity=False)
@@ -192,3 +197,50 @@ class TestShardedEqualsBatch:
         batch = _batch(records, out)
         assert out.metrics.bps == batch.bps
         assert out.metrics.union_io_time == batch.union_io_time
+
+
+@st.composite
+def in_order_streams(draw):
+    """(records in completion order, window width): up to 600 rows, so
+    the per-record row buffer fills as well as folding at closes."""
+    n = draw(st.integers(min_value=1, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.uniform(0.0, 100.0, n)
+    duration = rng.exponential(draw(st.floats(0.01, 10.0)), n)
+    duration[rng.random(n) < 0.1] = 0.0
+    duration[0] = max(duration[0], 0.01)
+    records = [IORecord(pid=int(p), op="read", nbytes=int(b),
+                        start=float(s), end=float(s + d))
+               for p, b, s, d in zip(rng.integers(0, 4, n),
+                                     rng.integers(0, 10_000, n),
+                                     start, duration)]
+    records.sort(key=lambda r: (r.end, r.start))
+    window = draw(st.floats(min_value=0.5, max_value=40.0,
+                            allow_nan=False))
+    return records, window
+
+
+class TestFlushBeforeClose:
+    @given(case=in_order_streams(),
+           slack=st.floats(min_value=0.0, max_value=20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_provisional_windows_are_final(self, case, slack):
+        """With a lag covering the longest request no record is late,
+        so every window event emitted during ingest already holds every
+        row of its window — a buffered row that missed its window's
+        close would show here as a provisional/final mismatch."""
+        records, window = case
+        lag = max(r.duration for r in records) + slack
+        sink = MemorySink()
+        stream = MetricStream(window=window, watermark_lag=lag,
+                              sinks=[sink])
+        for record in records:
+            stream.ingest(record)
+            stream.advance_watermark(record.end - lag)
+        provisional = list(sink.of_type("window"))
+        final = {w.index: w for w in stream.finalize().windows}
+        assert stream.late_records == 0
+        for event in provisional:
+            settled = final[event["index"]]
+            assert event["ops"] == settled.ops
+            assert event["io_time"] == settled.io_time

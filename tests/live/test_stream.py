@@ -5,7 +5,7 @@ import pytest
 from repro.core.metrics import compute_metrics
 from repro.core.records import IORecord, TraceCollection
 from repro.errors import LiveStreamError
-from repro.live import MemorySink, MetricStream
+from repro.live import MemorySink, MetricStream, RecordChunk
 
 
 def steady_records(n=60, gap=0.01, dur=0.02, nbytes=4096):
@@ -113,6 +113,31 @@ class TestWindows:
         result = stream.finalize()
         assert result.windows[0].blocks == pytest.approx(1.0)
         assert result.windows[1].blocks == pytest.approx(1.0)
+
+
+class TestLateWindowAccounting:
+    """Both entry points count a row landing below the emission
+    pointer as a late window update, emitted window or not."""
+
+    @pytest.mark.parametrize("entry", ["ingest", "push_chunk"])
+    def test_unemitted_window_below_pointer_counts(self, entry):
+        stream = MetricStream(window=1.0, origin=0.0)
+
+        def put(record):
+            if entry == "ingest":
+                stream.ingest(record)
+            else:
+                stream.push_chunk(RecordChunk.from_records([record]))
+
+        put(IORecord(0, "read", 512, 5.0, 5.5))
+        stream.advance_watermark(7.0)   # window 5 closes
+        put(IORecord(0, "read", 512, 2.0, 2.5))  # window 2: never emitted
+        assert stream.late_records == 1
+        assert stream.late_window_updates == 1
+        result = stream.finalize()
+        assert result.late_window_updates == 1
+        assert result.windows[0].index == 2
+        assert result.windows[0].ops == 1
 
 
 class TestBreakdowns:
