@@ -65,9 +65,11 @@ class Waitable:
         self.value = value
         self.exception = exception
         callbacks, self._callbacks = self._callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            self.engine.call_soon(cb, self)
+        if callbacks:
+            schedule_now = self.engine._schedule_now
+            args = (self,)
+            for cb in callbacks:
+                schedule_now(cb, args)
 
     def result(self) -> Any:
         """The fired value; raises the stored exception if one was set."""
@@ -99,6 +101,24 @@ class Completion(Waitable):
         self._fire(exception=exception)
 
 
+class Grant(Completion):
+    """A :class:`Completion` a resource hands out from ``acquire()``.
+
+    It remembers when it was requested, so the resource can charge the
+    queueing delay to ``total_wait_time`` when the grant fires.
+    """
+
+    __slots__ = ("requested_at",)
+
+    def __init__(self, engine: "Engine", requested_at: float) -> None:
+        self.engine = engine
+        self._callbacks = []
+        self._fired = False
+        self.value = None
+        self.exception = None
+        self.requested_at = requested_at
+
+
 class Timeout(Waitable):
     """Fires ``delay`` simulated seconds after construction."""
 
@@ -106,11 +126,15 @@ class Timeout(Waitable):
 
     def __init__(self, engine: "Engine", delay: float,
                  value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        super().__init__(engine)
+        # Fields inlined (no ``Waitable.__init__`` call): a timeout is
+        # created for every simulated service time.
+        self.engine = engine
+        self._callbacks = []
+        self._fired = False
+        self.value = None
+        self.exception = None
         self.delay = delay
-        engine.call_later(delay, self._fire, value)
+        engine._schedule(delay, Waitable._fire, (self, value))
 
 
 class AllOf(Waitable):
@@ -155,16 +179,20 @@ class AnyOf(Waitable):
         if not self._children:
             raise SimulationError("AnyOf needs at least one child")
         self._done = False
-        for index, child in enumerate(self._children):
-            child.subscribe(self._make_handler(index))
+        on_child = self._on_child
+        for child in self._children:
+            child.subscribe(on_child)
 
-    def _make_handler(self, index: int) -> Callback:
-        def handler(child: Waitable) -> None:
-            if self._done:
-                return
-            self._done = True
-            if child.exception is not None:
-                self._fire(exception=child.exception)
-            else:
+    def _on_child(self, child: Waitable) -> None:
+        if self._done:
+            return
+        self._done = True
+        if child.exception is not None:
+            self._fire(exception=child.exception)
+            return
+        # The first handler to run belongs to the child's first position
+        # (a child listed twice subscribed there first).
+        for index, candidate in enumerate(self._children):
+            if candidate is child:
                 self._fire(value=(index, child.value))
-        return handler
+                return

@@ -16,11 +16,13 @@ process itself is a waitable, so processes compose:
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
-from repro.sim.events import Waitable
+from repro.sim.events import Completion, Grant, Timeout, Waitable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import Engine
 
 
 class ProcessKilled(Exception):
@@ -33,18 +35,27 @@ class Process(Waitable):
     Do not instantiate directly; use :meth:`Engine.spawn`.
     """
 
-    __slots__ = ("name", "generator", "_started", "_finished", "_waiting_on")
+    __slots__ = ("name", "generator", "_started", "_finished", "_waiting_on",
+                 "_send")
 
     _anon_counter = 0
 
-    def __init__(self, engine: Engine, generator: Generator,
+    def __init__(self, engine: "Engine", generator: Generator,
                  name: str = "") -> None:
-        if not hasattr(generator, "send"):
+        try:
+            self._send = generator.send
+        except AttributeError:
             raise SimulationError(
                 f"Process needs a generator, got {type(generator).__name__} "
                 f"(did you forget to call the generator function?)"
-            )
-        super().__init__(engine)
+            ) from None
+        # Fields inlined (no ``Waitable.__init__`` call): a process is
+        # spawned per simulated request at every layer.
+        self.engine = engine
+        self._callbacks = []
+        self._fired = False
+        self.value = None
+        self.exception = None
         if not name:
             Process._anon_counter += 1
             name = f"proc-{Process._anon_counter}"
@@ -54,7 +65,7 @@ class Process(Waitable):
         self._finished = False
         self._waiting_on: Waitable | None = None
         engine._live_processes += 1
-        engine.call_soon(self._start)
+        engine._schedule_now(self._start, ())
 
     @property
     def finished(self) -> bool:
@@ -67,30 +78,36 @@ class Process(Waitable):
         if self._finished:  # killed before first step
             return
         self._started = True
-        self._advance(lambda: self.generator.send(None))
+        self._advance(None)
 
     def _on_waitable(self, waitable: Waitable) -> None:
         if self._finished:
             return
         self._waiting_on = None
-        if waitable.exception is not None:
-            exc = waitable.exception
-            self._advance(lambda: self.generator.throw(exc))
-        else:
-            value = waitable.value
-            self._advance(lambda: self.generator.send(value))
+        self._advance(waitable.value, waitable.exception)
 
-    def _advance(self, step) -> None:
+    def _advance(self, value: Any,
+                 exception: BaseException | None = None) -> None:
+        """Resume the generator with ``value`` (or throw ``exception``)."""
         try:
-            yielded = step()
+            if exception is None:
+                yielded = self._send(value)
+            else:
+                yielded = self.generator.throw(exception)
         except StopIteration as stop:
             self._complete(value=stop.value)
             return
-        except ProcessKilled as exc:
-            self._complete(exception=exc)
-            return
         except BaseException as exc:
             self._complete(exception=exc)
+            return
+        kind = type(yielded)
+        if (kind is Timeout or kind is Grant or kind is Completion
+                or (kind is Process and yielded is not self)) \
+                and not yielded._fired:
+            # Inlined ``yielded.subscribe(self._on_waitable)`` for the common
+            # waitables, which do not override ``subscribe``.
+            self._waiting_on = yielded
+            yielded._callbacks.append(self._on_waitable)
             return
         if not isinstance(yielded, Waitable):
             error = SimulationError(
@@ -137,7 +154,7 @@ class Process(Waitable):
         if self._finished:
             return
         self._waiting_on = None
-        self._advance(lambda: self.generator.throw(exc))
+        self._advance(None, exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (

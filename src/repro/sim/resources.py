@@ -17,11 +17,11 @@ ties broken by arrival order — the same determinism contract as the engine.
 from __future__ import annotations
 
 import heapq
-from typing import Any
+from collections import deque
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Completion, Grant, Waitable
 
 
 class Resource:
@@ -39,11 +39,10 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: list[Completion] = []
+        self._queue: deque[Grant] = deque()
         # Cumulative statistics for utilization analysis.
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
-        self._acquire_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -55,28 +54,35 @@ class Resource:
         """Number of acquirers currently waiting."""
         return len(self._queue)
 
-    def acquire(self) -> Completion:
+    def acquire(self) -> Grant:
         """Request a grant; the returned completion fires when granted."""
-        grant = self.engine.completion()
+        engine = self.engine
+        grant = Grant(engine, engine.now)
         grant.value = self  # convenience: `res = yield res.acquire()`
-        requested_at = self.engine.now
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_acquisitions += 1
-            self.engine.call_soon(grant._fire, self)
+            self._grant_soon(grant)
         else:
-            def on_grant(_c: Completion, _t: float = requested_at) -> None:
-                self.total_wait_time += self.engine.now - _t
-            grant.subscribe(on_grant)
+            grant._callbacks.append(self._on_grant)
             self._queue.append(grant)
         return grant
+
+    def _grant_soon(self, grant: Grant) -> None:
+        # The grant still fires as its own event (not right here), so the
+        # waiter resumes at the same point in the ``(time, seq)`` order
+        # whether or not it had to queue.
+        self.engine._schedule_now(Waitable._fire, (grant, self))
+
+    def _on_grant(self, grant: Grant) -> None:
+        self.total_wait_time += self.engine.now - grant.requested_at
 
     def release(self) -> None:
         """Return one grant; wakes the oldest waiter, if any."""
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release without acquire")
         if self._queue:
-            grant = self._queue.pop(0)
+            grant = self._queue.popleft()
             self.total_acquisitions += 1
             grant._fire(self)
         else:
@@ -99,22 +105,20 @@ class PriorityResource(Resource):
     def __init__(self, engine: Engine, capacity: int = 1,
                  name: str = "prio-resource") -> None:
         super().__init__(engine, capacity, name)
-        self._pqueue: list[tuple[float, int, Completion]] = []
+        self._pqueue: list[tuple[float, int, Grant]] = []
         self._counter = 0
 
-    def acquire(self, priority: float = 0.0) -> Completion:
+    def acquire(self, priority: float = 0.0) -> Grant:
         """Request a grant with a priority (lower = sooner)."""
-        grant = self.engine.completion()
+        engine = self.engine
+        grant = Grant(engine, engine.now)
         grant.value = self
-        requested_at = self.engine.now
         if self._in_use < self.capacity and not self._pqueue:
             self._in_use += 1
             self.total_acquisitions += 1
-            self.engine.call_soon(grant._fire, self)
+            self._grant_soon(grant)
         else:
-            def on_grant(_c: Completion, _t: float = requested_at) -> None:
-                self.total_wait_time += self.engine.now - _t
-            grant.subscribe(on_grant)
+            grant._callbacks.append(self._on_grant)
             self._counter += 1
             heapq.heappush(self._pqueue, (priority, self._counter, grant))
         return grant
@@ -155,7 +159,7 @@ class TokenBucket:
         self.name = name
         self._tokens = burst
         self._last_refill = engine.now
-        self._queue: list[tuple[float, Completion]] = []
+        self._queue: deque[tuple[float, Completion]] = deque()
         self._draining = False
 
     def _refill(self) -> None:
@@ -189,7 +193,7 @@ class TokenBucket:
             epsilon = 1e-9 * max(1.0, amount)
             if self._tokens >= amount - epsilon:
                 self._tokens = max(0.0, self._tokens - amount)
-                self._queue.pop(0)
+                self._queue.popleft()
                 done.trigger(self)
             else:
                 deficit = amount - self._tokens

@@ -101,6 +101,38 @@ class TestRun:
         engine.call_later(0.0, reenter)
         engine.run()
 
+    def test_step_inside_running_callback_rejected(self, engine):
+        # A step() nested in a callback used to run the *next* event
+        # (here the t=2.0 one) inside the current one, moving the clock
+        # mid-callback.
+        seen = []
+
+        def reenter():
+            with pytest.raises(SimulationError):
+                engine.step()
+            seen.append(("reenter", engine.now))
+
+        engine.call_later(1.0, reenter)
+        engine.call_later(2.0, seen.append, ("later", 2.0))
+        engine.run()
+        assert seen == [("reenter", 1.0), ("later", 2.0)]
+
+    def test_step_inside_stepped_callback_rejected(self, engine):
+        errors = []
+
+        def reenter():
+            try:
+                engine.step()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        engine.call_later(1.0, reenter)
+        engine.call_later(2.0, lambda: None)
+        assert engine.step() is True
+        assert len(errors) == 1 and engine.now == 1.0
+        assert engine.pending_events == 1
+        assert engine.step() is True  # the guard is released afterwards
+
     def test_empty_run_is_noop(self, engine):
         engine.run()
         assert engine.now == 0.0

@@ -70,6 +70,47 @@ class TestResource:
         assert resource.total_acquisitions == 2
 
 
+def arrive_and_hold(engine, resource, arrive, duration, log, tag,
+                    priority=None):
+    yield engine.timeout(arrive)
+    yield from hold(engine, resource, duration, log, tag, priority)
+
+
+class TestWaitTimeExact:
+    """``total_wait_time`` charged from each grant's own request time.
+
+    All times are exact binary fractions, so the sums compare with ``==``.
+    """
+
+    def test_contended_fifo(self, engine):
+        resource = Resource(engine, capacity=1)
+        log = []
+        for tag, arrive, duration in (("a", 0.0, 1.0), ("b", 0.25, 0.5),
+                                      ("c", 0.5, 0.25)):
+            engine.spawn(arrive_and_hold(engine, resource, arrive,
+                                         duration, log, tag))
+        engine.run()
+        # a: 0; b: requested 0.25, granted 1.0; c: 0.5 -> 1.5.
+        assert resource.total_wait_time == 0.75 + 1.0
+        assert resource.total_acquisitions == 3
+        assert resource.queue_length == 0 and resource.in_use == 0
+
+    def test_priority_order(self, engine):
+        resource = PriorityResource(engine, capacity=1)
+        log = []
+        for tag, arrive, duration, prio in (("a", 0.0, 1.0, 0.0),
+                                            ("b", 0.25, 0.5, 5.0),
+                                            ("c", 0.5, 0.25, 1.0)):
+            engine.spawn(arrive_and_hold(engine, resource, arrive,
+                                         duration, log, tag, prio))
+        engine.run()
+        order = [tag for _t, tag, what in log if what == "in"]
+        assert order == ["a", "c", "b"]
+        # c: requested 0.5, granted 1.0; b: requested 0.25, granted 1.25.
+        assert resource.total_wait_time == 0.5 + 1.0
+        assert resource.total_acquisitions == 3
+
+
 class TestPriorityResource:
     def test_lower_priority_served_first(self, engine):
         resource = PriorityResource(engine, capacity=1)
