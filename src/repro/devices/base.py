@@ -223,14 +223,8 @@ class BlockDevice:
 
     def submit(self, request: DeviceRequest) -> Completion:
         """Queue ``request``; returns a completion firing with DeviceResult."""
-        if request.end > self.capacity_bytes:
-            raise DeviceError(
-                f"{self.name}: request [{request.offset}, {request.end}) "
-                f"exceeds capacity {self.capacity_bytes}"
-            )
         done = self.engine.completion()
-        self.engine.spawn(self._serve(request, done),
-                          name=f"{self.name}.serve")
+        self.engine.spawn(self._serve_gen(request, done))
         return done
 
     def access(self, op: str, offset: int, nbytes: int) -> Completion:
@@ -245,7 +239,23 @@ class BlockDevice:
             return self._resource.acquire(priority=float(request.offset))
         return self._resource.acquire()
 
-    def _serve(self, request: DeviceRequest, done: Completion):
+    def _serve_gen(self, request: DeviceRequest,
+                   done: Completion | None = None):
+        """Check ``request`` and return the generator that serves it.
+
+        A caller waiting on this one access runs it inline with
+        ``result = yield from device._serve_gen(request)``;
+        :meth:`submit` spawns it with ``done``, which fires before the
+        channel is released.
+        """
+        if request.end > self.capacity_bytes:
+            raise DeviceError(
+                f"{self.name}: request [{request.offset}, {request.end}) "
+                f"exceeds capacity {self.capacity_bytes}"
+            )
+        return self._serve(request, done)
+
+    def _serve(self, request: DeviceRequest, done: Completion | None):
         start = self.engine.now
         grant = self._acquire_grant(request)
         yield grant
@@ -273,14 +283,23 @@ class BlockDevice:
                     self.stats.bytes_written += request.nbytes
             if failed:
                 self.stats.faults += 1
-                done.trigger(DeviceResult(
+                result = DeviceResult(
                     request, start, self.engine.now, success=False,
-                    error=f"injected fault on {self.name}"))
+                    error=f"injected fault on {self.name}")
             else:
-                done.trigger(DeviceResult(request, start, self.engine.now))
+                result = DeviceResult(request, start, self.engine.now)
+            if done is not None:
+                done.trigger(result)
+        except BaseException as exc:
+            # A spawned request hands the error to its waiter instead of
+            # leaving it waiting forever.
+            if done is not None:
+                done.fail(exc)
+            raise
         finally:
             self.utilization.idle()
             self._resource.release()
+        return result
 
     @property
     def queue_length(self) -> int:

@@ -22,7 +22,7 @@ from repro.errors import FileSystemError
 from repro.fs.blockmap import Extent, ExtentAllocator, FileMap
 from repro.fs.cache import PageCache
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.process import Process
 
 
 @dataclass
@@ -170,52 +170,52 @@ class LocalFileSystem:
             return 0
         return len(self.cache.drop_caches())
 
-    def flush(self) -> Completion:
-        """Write back all dirty pages; completion fires when durable."""
-        done = self.engine.completion()
-        self.engine.spawn(self._flush_proc(done), name=f"{self.name}.flush")
-        return done
+    def flush(self) -> Process:
+        """Write back all dirty pages; the process fires when durable,
+        with the number of pages written."""
+        return self.engine.spawn(self._flush_proc())
 
-    def _flush_proc(self, done: Completion):
+    def _flush_proc(self):
         if self.cache is None:
             yield self.engine.timeout(0.0)
-            done.trigger(0)
-            return
+            return 0
         dirty = self.cache.flush()
         extents = []
         for file_name, page in dirty:
             extents.extend(self._page_extents(file_name, page))
         if extents:
             yield from self._issue(WRITE, extents)
-        done.trigger(len(dirty))
+        return len(dirty)
 
     # -- I/O paths ---------------------------------------------------------------
 
-    def read(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Read ``nbytes`` at ``offset``; completion fires with FSResult."""
-        fmap = self._lookup(file_name)
-        self._check_range(fmap, offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._read_proc(fmap, offset, nbytes, done),
-                          name=f"{self.name}.read")
-        return done
+    def read(self, file_name: str, offset: int, nbytes: int) -> Process:
+        """Read ``nbytes`` at ``offset``; the process fires with FSResult."""
+        return self.engine.spawn(self._read_gen(file_name, offset, nbytes))
 
-    def write(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Write ``nbytes`` at ``offset``; completion fires with FSResult."""
-        fmap = self._lookup(file_name)
-        self._check_range(fmap, offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._write_proc(fmap, offset, nbytes, done),
-                          name=f"{self.name}.write")
-        return done
+    def write(self, file_name: str, offset: int, nbytes: int) -> Process:
+        """Write ``nbytes`` at ``offset``; the process fires with FSResult."""
+        return self.engine.spawn(self._write_gen(file_name, offset, nbytes))
 
-    @staticmethod
-    def _check_range(fmap: FileMap, offset: int, nbytes: int) -> None:
+    # ``_read_gen``/``_write_gen`` check the call and return its body as
+    # a generator, for callers that wait on it with ``yield from``.
+
+    def _read_gen(self, file_name: str, offset: int, nbytes: int):
+        return self._read_proc(self._checked(file_name, offset, nbytes),
+                               offset, nbytes)
+
+    def _write_gen(self, file_name: str, offset: int, nbytes: int):
+        return self._write_proc(self._checked(file_name, offset, nbytes),
+                                offset, nbytes)
+
+    def _checked(self, file_name: str, offset: int, nbytes: int) -> FileMap:
+        fmap = self._lookup(file_name)
         if offset < 0 or nbytes <= 0 or offset + nbytes > fmap.size:
             raise FileSystemError(
                 f"bad range [{offset}, {offset + nbytes}) for "
                 f"{fmap.name!r} of size {fmap.size}"
             )
+        return fmap
 
     # -- helpers -------------------------------------------------------------------
 
@@ -229,14 +229,11 @@ class LocalFileSystem:
             return []
         return fmap.translate(start, length)
 
-    def _submit_device(self, op: str, extent: Extent) -> Completion:
-        return self.device.submit(DeviceRequest(op, extent.device_offset,
-                                                extent.length))
-
     def _issue(self, op: str, extents: list[Extent]):
         """(generator) Submit extents concurrently, retrying faults.
 
-        Faulted extents are re-submitted for up to ``device_retries``
+        A single extent is served inline (``yield from`` the device);
+        several are spawned and joined.  Faulted extents are re-submitted for up to ``device_retries``
         extra rounds; every submission (including retries) counts as
         device-boundary traffic, but ``stats.faults`` increments exactly
         once per extent that is *still* failing when the budget runs out
@@ -249,10 +246,16 @@ class LocalFileSystem:
         moved = 0
         errors: list[str] = []
         round_index = 0
+        device = self.device
         while outstanding:
-            pending = [self._submit_device(op, extent)
-                       for extent in outstanding]
-            results: list[DeviceResult] = yield self.engine.all_of(pending)
+            requests = [DeviceRequest(op, extent.device_offset, extent.length)
+                        for extent in outstanding]
+            if len(requests) == 1:
+                results: list[DeviceResult] = [
+                    (yield from device._serve_gen(requests[0]))]
+            else:
+                results = yield self.engine.all_of(
+                    [device.submit(request) for request in requests])
             failed: list[Extent] = []
             failed_errors: list[str] = []
             for extent, result in zip(outstanding, results):
@@ -278,8 +281,7 @@ class LocalFileSystem:
             outstanding = failed
         return moved, errors
 
-    def _read_proc(self, fmap: FileMap, offset: int, nbytes: int,
-                   done: Completion):
+    def _read_proc(self, fmap: FileMap, offset: int, nbytes: int):
         start = self.engine.now
         self.stats.calls += 1
         self.stats.bytes_requested += nbytes
@@ -289,11 +291,8 @@ class LocalFileSystem:
             # Straight-through: one device request per extent run.
             moved, errors = yield from self._issue(
                 READ, fmap.translate(offset, nbytes))
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors,
-                                  errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         cache = self.cache
         pages = cache.page_range(offset, nbytes)
@@ -327,15 +326,13 @@ class LocalFileSystem:
                 writeback_extents.extend(self._page_extents(*key))
         if writeback_extents:
             # Eviction write-back happens asynchronously; reads don't wait.
-            self.engine.spawn(self._drain(writeback_extents),
-                              name=f"{self.name}.writeback")
+            self.engine.spawn(self._issue(WRITE, writeback_extents))
 
-        done.trigger(FSResult(nbytes, moved, hits, len(missing), start,
-                              self.engine.now,
-                              success=not errors, errors=tuple(errors)))
+        return FSResult(nbytes, moved, hits, len(missing), start,
+                        self.engine.now,
+                        success=not errors, errors=tuple(errors))
 
-    def _write_proc(self, fmap: FileMap, offset: int, nbytes: int,
-                    done: Completion):
+    def _write_proc(self, fmap: FileMap, offset: int, nbytes: int):
         start = self.engine.now
         self.stats.calls += 1
         yield self.engine.timeout(self.per_call_overhead_s)
@@ -344,10 +341,8 @@ class LocalFileSystem:
         if cache is None or cache.capacity_pages == 0:
             moved, errors = yield from self._issue(
                 WRITE, fmap.translate(offset, nbytes))
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors, errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         pages = cache.page_range(offset, nbytes)
         if cache.policy == "write-through":
@@ -355,10 +350,8 @@ class LocalFileSystem:
                 WRITE, fmap.translate(offset, nbytes))
             for page in pages:
                 cache.insert(fmap.name, page, dirty=False)
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors, errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         # write-back: dirty the pages, write-back only on eviction/flush.
         writeback_extents: list[Extent] = []
@@ -366,13 +359,9 @@ class LocalFileSystem:
             for key in cache.insert(fmap.name, page, dirty=True):
                 writeback_extents.extend(self._page_extents(*key))
         if writeback_extents:
-            self.engine.spawn(self._drain(writeback_extents),
-                              name=f"{self.name}.writeback")
+            self.engine.spawn(self._issue(WRITE, writeback_extents))
         yield self.engine.timeout(0.0)  # cache write is (nearly) free
-        done.trigger(FSResult(nbytes, 0, 0, 0, start, self.engine.now))
-
-    def _drain(self, extents: list[Extent]):
-        yield from self._issue(WRITE, extents)
+        return FSResult(nbytes, 0, 0, 0, start, self.engine.now)
 
 
 def _coalesce_pages(pages: list[int]) -> list[tuple[int, int]]:

@@ -22,7 +22,8 @@ from repro.errors import MiddlewareError
 from repro.fs.localfs import FSResult
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import AllOf
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 
@@ -54,7 +55,7 @@ class AsyncIOContext:
         self.size = mount.size_of(file_name)
         self._slots = Resource(engine, capacity=queue_depth,
                                name=f"aio.{pid}.slots")
-        self._outstanding: list[Completion] = []
+        self._outstanding: list[Process] = []
         self.submitted = 0
         self.completed = 0
 
@@ -70,35 +71,32 @@ class AsyncIOContext:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def submit_read(self, offset: int, nbytes: int) -> Completion:
+    def submit_read(self, offset: int, nbytes: int) -> Process:
         """Queue an asynchronous read; fires with the FSResult."""
         return self._submit(READ, offset, nbytes)
 
-    def submit_write(self, offset: int, nbytes: int) -> Completion:
+    def submit_write(self, offset: int, nbytes: int) -> Process:
         """Queue an asynchronous write; fires with the FSResult."""
         return self._submit(WRITE, offset, nbytes)
 
-    def _submit(self, op: str, offset: int, nbytes: int) -> Completion:
+    def _submit(self, op: str, offset: int, nbytes: int) -> Process:
         self._check(offset, nbytes)
-        done = self.engine.completion()
         self.submitted += 1
-        self._outstanding.append(done)
-        self.engine.spawn(self._io_proc(op, offset, nbytes, done),
-                          name=f"aio.{self.pid}.{op}")
-        return done
+        request = self.engine.spawn(self._io_proc(op, offset, nbytes))
+        self._outstanding.append(request)
+        return request
 
-    def _io_proc(self, op: str, offset: int, nbytes: int,
-                 done: Completion):
+    def _io_proc(self, op: str, offset: int, nbytes: int):
         submitted_at = self.engine.now
         yield self.engine.timeout(self.submit_overhead_s)
         grant = self._slots.acquire()
         yield grant
         try:
             if op == READ:
-                result: FSResult = yield self.mount.read(
+                result: FSResult = yield from self.mount._read_gen(
                     self.file_name, offset, nbytes)
             else:
-                result = yield self.mount.write(
+                result = yield from self.mount._write_gen(
                     self.file_name, offset, nbytes)
         finally:
             self._slots.release()
@@ -111,9 +109,9 @@ class AsyncIOContext:
                                     offset=offset,
                                     start=submitted_at, end=end)
         self.completed += 1
-        done.trigger(result)
+        return result
 
-    def drain(self) -> Completion:
+    def drain(self) -> AllOf:
         """Waitable that fires when everything submitted so far is done."""
         pending = [c for c in self._outstanding if not c.fired]
         self._outstanding = pending.copy()

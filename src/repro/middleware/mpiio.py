@@ -37,6 +37,7 @@ from repro.middleware.sieving import (
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
 from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.util.rng import RngStream
 from repro.util.units import GiB
 
@@ -115,11 +116,11 @@ class MPIFile:
 
     # -- independent contiguous ------------------------------------------------
 
-    def read_at(self, offset: int, nbytes: int) -> Completion:
+    def read_at(self, offset: int, nbytes: int) -> Process:
         """Independent read at an explicit offset."""
         return self._independent(READ, offset, nbytes)
 
-    def write_at(self, offset: int, nbytes: int) -> Completion:
+    def write_at(self, offset: int, nbytes: int) -> Process:
         """Independent write at an explicit offset."""
         return self._independent(WRITE, offset, nbytes)
 
@@ -130,25 +131,20 @@ class MPIFile:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def _independent(self, op: str, offset: int, nbytes: int) -> Completion:
+    def _independent(self, op: str, offset: int, nbytes: int) -> Process:
         self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._independent_proc(op, offset, nbytes, done),
-                          name=f"mpiio.{op}.r{self.rank}")
-        return done
+        return self.engine.spawn(self._independent_proc(op, offset, nbytes))
 
-    def _independent_proc(self, op: str, offset: int, nbytes: int,
-                          done: Completion):
+    def _independent_proc(self, op: str, offset: int, nbytes: int):
         ctx = self.ctx
         pid = ctx.pid_base + self.rank
         start = self.engine.now
         yield self.engine.timeout(ctx.call_overhead_s)
-        if op == READ:
-            def issue():
-                return self.mount.read(self.file_name, offset, nbytes)
-        else:
-            def issue():
-                return self.mount.write(self.file_name, offset, nbytes)
+        mount_gen = (self.mount._read_gen if op == READ
+                     else self.mount._write_gen)
+
+        def issue():
+            return mount_gen(self.file_name, offset, nbytes)
         outcomes = yield from execute_attempts(
             self.engine, issue, ctx.retry_policy,
             rng=ctx.retry_rng, stats=ctx.retry_stats, first_start=start)
@@ -176,11 +172,11 @@ class MPIFile:
             result = FSResult(nbytes, 0, 0, 0, final.start, final_end,
                               success=False,
                               errors=("operation timed out",))
-        done.trigger(result)
+        return result
 
     # -- independent noncontiguous (data sieving) ---------------------------------
 
-    def read_regions(self, regions: list[Region]) -> Completion:
+    def read_regions(self, regions: list[Region]) -> Process:
         """Noncontiguous read; sieving per the open hints.
 
         One application-level trace record covers the whole call, sized
@@ -190,12 +186,9 @@ class MPIFile:
         validate_regions(regions)
         for offset, length in regions:
             self._check(offset, length)
-        done = self.engine.completion()
-        self.engine.spawn(self._regions_proc(regions, done),
-                          name=f"mpiio.sieve.r{self.rank}")
-        return done
+        return self.engine.spawn(self._regions_proc(regions))
 
-    def _regions_proc(self, regions: list[Region], done: Completion):
+    def _regions_proc(self, regions: list[Region]):
         ctx = self.ctx
         start = self.engine.now
         yield self.engine.timeout(ctx.call_overhead_s)
@@ -204,7 +197,7 @@ class MPIFile:
         success = True
         # ROMIO reuses one sieve buffer: reads are sequential.
         for sieve in plan:
-            result: FSResult = yield self.mount.read(
+            result: FSResult = yield from self.mount._read_gen(
                 self.file_name, sieve.offset, sieve.nbytes)
             device_bytes += result.device_bytes
             success = success and result.success
@@ -223,10 +216,10 @@ class MPIFile:
                                    file=self.file_name,
                                    offset=regions[0][0],
                                    start=start, end=end)
-        done.trigger(FSResult(useful, device_bytes, 0, 0, start, end,
-                              success=success))
+        return FSResult(useful, device_bytes, 0, 0, start, end,
+                        success=success)
 
-    def write_regions(self, regions: list[Region]) -> Completion:
+    def write_regions(self, regions: list[Region]) -> Process:
         """Noncontiguous write; sieving per the open hints.
 
         Sieved noncontiguous *writes* need read-modify-write: the
@@ -240,13 +233,9 @@ class MPIFile:
         validate_regions(regions)
         for offset, length in regions:
             self._check(offset, length)
-        done = self.engine.completion()
-        self.engine.spawn(self._write_regions_proc(regions, done),
-                          name=f"mpiio.wsieve.r{self.rank}")
-        return done
+        return self.engine.spawn(self._write_regions_proc(regions))
 
-    def _write_regions_proc(self, regions: list[Region],
-                            done: Completion):
+    def _write_regions_proc(self, regions: list[Region]):
         ctx = self.ctx
         start = self.engine.now
         yield self.engine.timeout(ctx.call_overhead_s)
@@ -256,13 +245,13 @@ class MPIFile:
         for sieve in plan:
             if sieve.hole_bytes == 0:
                 # Contiguous (or sieving off): plain write.
-                result: FSResult = yield self.mount.write(
+                result: FSResult = yield from self.mount._write_gen(
                     self.file_name, sieve.offset, sieve.nbytes)
                 device_bytes += result.device_bytes
                 success = success and result.success
                 continue
             # Read-modify-write: fetch the covering range...
-            read_back: FSResult = yield self.mount.read(
+            read_back: FSResult = yield from self.mount._read_gen(
                 self.file_name, sieve.offset, sieve.nbytes)
             device_bytes += read_back.device_bytes
             success = success and read_back.success
@@ -271,7 +260,7 @@ class MPIFile:
             if copy_time > 0:
                 yield self.engine.timeout(copy_time)
             # ... and write the whole range back.
-            written: FSResult = yield self.mount.write(
+            written: FSResult = yield from self.mount._write_gen(
                 self.file_name, sieve.offset, sieve.nbytes)
             device_bytes += written.device_bytes
             success = success and written.success
@@ -285,8 +274,8 @@ class MPIFile:
                                    op=WRITE, file=self.file_name,
                                    offset=regions[0][0],
                                    start=start, end=end)
-        done.trigger(FSResult(useful, device_bytes, 0, 0, start, end,
-                              success=success))
+        return FSResult(useful, device_bytes, 0, 0, start, end,
+                        success=success)
 
     # -- collective (two-phase) ------------------------------------------------------
 
@@ -347,7 +336,7 @@ class _CollectiveCall:
         return done
 
     def launch(self) -> None:
-        self.engine.spawn(self._run(), name=f"mpiio.coll.{self.file_name}")
+        self.engine.spawn(self._run())
 
     def _run(self):
         ctx = self.ctx

@@ -20,7 +20,7 @@ from repro.fs.localfs import FSResult
 from repro.middleware.retry import RetryPolicy, RetryStats, execute_attempts
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.util.rng import RngStream
 
 
@@ -65,9 +65,10 @@ class PosixFile:
     """One process's handle on one file.
 
     ``pread``/``pwrite`` are explicit-offset; ``read``/``write`` advance
-    a per-handle cursor, like the libc calls.  All return completions
-    that fire with the mount's :class:`FSResult` once the access (and
-    its trace record) is done.
+    a per-handle cursor, like the libc calls.  Each returns the call's
+    process, which runs every layer below it inline and fires with the
+    mount's :class:`FSResult` once the access (and its trace record) is
+    done.
     """
 
     def __init__(self, lib: PosixIO, file_name: str, pid: int) -> None:
@@ -88,29 +89,21 @@ class PosixFile:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def pread(self, offset: int, nbytes: int) -> Completion:
+    def pread(self, offset: int, nbytes: int) -> Process:
         """Positional read of ``nbytes`` at ``offset``."""
-        self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._io(READ, offset, nbytes, done),
-                          name=f"posix.pread.{self.pid}")
-        return done
+        return self.engine.spawn(self._io_gen(READ, offset, nbytes))
 
-    def pwrite(self, offset: int, nbytes: int) -> Completion:
+    def pwrite(self, offset: int, nbytes: int) -> Process:
         """Positional write of ``nbytes`` at ``offset``."""
-        self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._io(WRITE, offset, nbytes, done),
-                          name=f"posix.pwrite.{self.pid}")
-        return done
+        return self.engine.spawn(self._io_gen(WRITE, offset, nbytes))
 
-    def read(self, nbytes: int) -> Completion:
+    def read(self, nbytes: int) -> Process:
         """Sequential read at the cursor; advances it."""
         done = self.pread(self.position, nbytes)
         self.position += nbytes
         return done
 
-    def write(self, nbytes: int) -> Completion:
+    def write(self, nbytes: int) -> Process:
         """Sequential write at the cursor; advances it."""
         done = self.pwrite(self.position, nbytes)
         self.position += nbytes
@@ -126,16 +119,21 @@ class PosixFile:
         """Invalidate the handle; further I/O raises."""
         self._closed = True
 
-    def _io(self, op: str, offset: int, nbytes: int, done: Completion):
+    def _io_gen(self, op: str, offset: int, nbytes: int):
+        """Check one call and return it as a generator (``yield from``
+        it to run the call inside the calling process)."""
+        self._check(offset, nbytes)
+        return self._io(op, offset, nbytes)
+
+    def _io(self, op: str, offset: int, nbytes: int):
         lib = self.lib
         start = self.engine.now
         yield self.engine.timeout(lib.call_overhead_s)
-        if op == READ:
-            def issue():
-                return lib.mount.read(self.file_name, offset, nbytes)
-        else:
-            def issue():
-                return lib.mount.write(self.file_name, offset, nbytes)
+        mount_gen = (lib.mount._read_gen if op == READ
+                     else lib.mount._write_gen)
+
+        def issue():
+            return mount_gen(self.file_name, offset, nbytes)
         outcomes = yield from execute_attempts(
             self.engine, issue, lib.retry_policy,
             rng=lib.retry_rng, stats=lib.retry_stats, first_start=start)
@@ -165,4 +163,4 @@ class PosixFile:
             result = FSResult(nbytes, 0, 0, 0, final.start, final_end,
                               success=False,
                               errors=("operation timed out",))
-        done.trigger(result)
+        return result

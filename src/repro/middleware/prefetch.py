@@ -23,7 +23,7 @@ from repro.devices.base import READ
 from repro.errors import MiddlewareError
 from repro.fs.localfs import FSResult
 from repro.middleware.posix import PosixFile
-from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.util.units import GiB, MiB
 
 
@@ -62,20 +62,17 @@ class SequentialPrefetcher:
         self._buffered: tuple[int, int] | None = None
         # High-water mark of consumption inside the buffered window.
         self._consumed_to = 0
-        # In-flight prefetch: (start, end, completion), or None.
-        self._inflight: tuple[int, int, Completion] | None = None
+        # In-flight prefetch: (start, end, its process), or None.
+        self._inflight: tuple[int, int, Process] | None = None
         self.stats_prefetches = 0
         self.stats_buffered_hits = 0
         self.stats_wasted_bytes = 0
 
-    def pread(self, offset: int, nbytes: int) -> Completion:
+    def pread(self, offset: int, nbytes: int) -> Process:
         """Positional read with read-ahead; fires with an FSResult."""
-        done = self.engine.completion()
-        self.engine.spawn(self._read_proc(offset, nbytes, done),
-                          name=f"prefetch.read.{self.file.pid}")
-        return done
+        return self.engine.spawn(self._read_proc(offset, nbytes))
 
-    def pwrite(self, offset: int, nbytes: int) -> Completion:
+    def pwrite(self, offset: int, nbytes: int) -> Process:
         """Write-through; drops any buffered window (coherence)."""
         self._drop_buffer(count_waste=True)
         return self.file.pwrite(offset, nbytes)
@@ -87,7 +84,7 @@ class SequentialPrefetcher:
             self.stats_wasted_bytes += max(0, end - self._consumed_to)
         self._buffered = None
 
-    def _read_proc(self, offset: int, nbytes: int, done: Completion):
+    def _read_proc(self, offset: int, nbytes: int):
         config = self.config
         file = self.file
         start_time = self.engine.now
@@ -115,7 +112,7 @@ class SequentialPrefetcher:
             result = FSResult(nbytes, 0, 0, 0, start_time, end_time)
         else:
             self._drop_buffer(count_waste=True)
-            result = yield file.pread(offset, nbytes)
+            result = yield from file._io_gen(READ, offset, nbytes)
 
         # Track sequentiality and maybe arm the next prefetch.
         if offset == self._expected_next:
@@ -134,23 +131,20 @@ class SequentialPrefetcher:
             if window_end > window_start:
                 self._launch_prefetch(window_start, window_end)
 
-        done.trigger(result)
+        return result
 
     def _launch_prefetch(self, window_start: int, window_end: int) -> None:
-        completion = self.engine.completion()
-        self._inflight = (window_start, window_end, completion)
+        fetch = self.engine.spawn(
+            self._prefetch_proc(window_start, window_end))
+        self._inflight = (window_start, window_end, fetch)
         self.stats_prefetches += 1
-        self.engine.spawn(
-            self._prefetch_proc(window_start, window_end, completion),
-            name=f"prefetch.fetch.{self.file.pid}")
 
-    def _prefetch_proc(self, window_start: int, window_end: int,
-                       completion: Completion):
+    def _prefetch_proc(self, window_start: int, window_end: int):
         file = self.file
         nbytes = window_end - window_start
         # The fetch bypasses the app-record path: it is middleware
         # traffic, not an application access — only fs bytes are charged.
-        result: FSResult = yield file.lib.mount.read(
+        result: FSResult = yield from file.lib.mount._read_gen(
             file.file_name, window_start, nbytes)
         file.lib.recorder.note_fs_bytes(result.device_bytes,
                                         pid=file.pid, op=READ,
@@ -166,4 +160,4 @@ class SequentialPrefetcher:
             self._buffered = (window_start, window_end)
             self._consumed_to = window_start
         self._inflight = None
-        completion.trigger(result)
+        return result

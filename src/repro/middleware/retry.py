@@ -126,8 +126,11 @@ def execute_attempts(engine: Engine, issue, policy: RetryPolicy | None,
                      first_start: float | None = None):
     """(generator) Drive one operation through the retry state machine.
 
-    ``issue()`` must return a fresh waitable for one attempt of the
-    underlying mount operation.  Yields from inside a middleware
+    ``issue()`` must return a fresh generator for one attempt of the
+    underlying mount operation (a mount's ``_read_gen``/``_write_gen``).
+    Without a deadline the attempt runs inline (``yield from``); with
+    ``policy.timeout_s`` it is spawned, so it can race the timer and
+    run on, discarded, after losing.  Yields from inside a middleware
     process; the StopIteration value is the list of
     :class:`AttemptOutcome` (never empty, last entry is the final
     attempt).  With ``policy=None`` this degenerates to a single
@@ -142,15 +145,14 @@ def execute_attempts(engine: Engine, issue, policy: RetryPolicy | None,
     while True:
         start = engine.now if (attempt or first_start is None) \
             else first_start
-        pending = issue()
         timed_out = False
         if policy is not None and policy.timeout_s is not None:
             index, value = yield engine.any_of(
-                [pending, engine.timeout(policy.timeout_s)])
+                [engine.spawn(issue()), engine.timeout(policy.timeout_s)])
             result = value if index == 0 else None
             timed_out = index == 1
         else:
-            result = yield pending
+            result = yield from issue()
         outcomes.append(AttemptOutcome(start, engine.now, result,
                                        timed_out))
         if stats is not None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.util.units import MiB
 
@@ -95,13 +96,11 @@ class NetworkLink:
             raise SimulationError(f"nbytes must be positive: {nbytes}")
         return nbytes / self.bandwidth
 
-    def transmit(self, nbytes: int) -> Completion:
-        """Queue a message; completion fires on delivery."""
-        done = self.engine.completion()
-        self.engine.spawn(self._send(nbytes, done), name=f"{self.name}.tx")
-        return done
+    def transmit(self, nbytes: int) -> Process:
+        """Queue a message; the process fires on delivery."""
+        return self.engine.spawn(self._send(nbytes))
 
-    def _send(self, nbytes: int, done: Completion):
+    def _send(self, nbytes: int):
         grant = self._wire.acquire()
         yield grant
         # Holding the wire while down: followers queue behind us and
@@ -117,7 +116,7 @@ class NetworkLink:
         self.stats.total_busy_time += busy
         # Propagation happens after the wire is free (pipelining).
         yield self.engine.timeout(self.effective_latency_s)
-        done.trigger(nbytes)
+        return nbytes
 
     @property
     def queue_length(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.net.link import NICPair
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.sim.resources import TokenBucket
 from repro.util.units import MiB
 
@@ -91,30 +91,28 @@ class StarTopology:
         """All registered host names, in insertion order."""
         return list(self._nodes)
 
-    def send(self, src: str, dst: str, nbytes: int) -> Completion:
+    def send(self, src: str, dst: str, nbytes: int) -> Process:
         """Move ``nbytes`` from ``src`` to ``dst``; fires on delivery.
 
         A loopback send (``src == dst``) completes after a negligible
         in-memory copy and never touches the NIC — co-located client and
         server, as when a compute node doubles as an I/O server.
         """
+        return self.engine.spawn(self._send_gen(src, dst, nbytes))
+
+    def _send_gen(self, src: str, dst: str, nbytes: int):
+        """Check the message and return its transfer as a generator
+        (``yield from`` it to wait inline)."""
         if nbytes <= 0:
             raise SimulationError(f"nbytes must be positive: {nbytes}")
-        source = self.node(src)
-        target = self.node(dst)
-        done = self.engine.completion()
-        self.engine.spawn(self._transfer(source, target, nbytes, done),
-                          name=f"net.{src}->{dst}")
-        return done
+        return self._transfer(self.node(src), self.node(dst), nbytes)
 
-    def _transfer(self, source: NetNode, target: NetNode, nbytes: int,
-                  done: Completion):
+    def _transfer(self, source: NetNode, target: NetNode, nbytes: int):
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if source is target:
             yield self.engine.timeout(0.0)
-            done.trigger(nbytes)
-            return
+            return nbytes
         fabric_claim = None
         if self._backplane is not None:
             # Oversubscription: the fabric claim proceeds concurrently
@@ -122,8 +120,7 @@ class StarTopology:
             # transfer completes when both are done, so a roomy
             # backplane costs nothing and a saturated one caps the
             # aggregate.
-            fabric_claim = self.engine.spawn(
-                self._claim_fabric(nbytes), name="net.fabric")
+            fabric_claim = self.engine.spawn(self._claim_fabric(nbytes))
         tx_wire = source.nic.tx._wire
         rx_wire = target.nic.rx._wire
         tx_time = source.nic.tx.serialization_time(nbytes)
@@ -154,7 +151,7 @@ class StarTopology:
         if fabric_claim is not None:
             yield fabric_claim
         yield self.engine.timeout(source.nic.tx.effective_latency_s)
-        done.trigger(nbytes)
+        return nbytes
 
     def _claim_fabric(self, nbytes: int):
         # Messages larger than the burst claim capacity in instalments.

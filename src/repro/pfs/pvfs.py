@@ -25,7 +25,7 @@ from repro.net.topology import StarTopology
 from repro.pfs.layout import StripeLayout
 from repro.pfs.server import IOServer
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 #: Size of a control message (request or ack) on the wire.
@@ -198,34 +198,31 @@ class ParallelFileSystem:
         """One client↔MDS exchange (generator; yields inside)."""
         yield self.engine.timeout(self.client_overhead_s)
         if self.metadata_node:
-            yield self.network.send(client_node, self.metadata_node,
-                                    CONTROL_MESSAGE_BYTES)
+            yield from self.network._send_gen(
+                client_node, self.metadata_node, CONTROL_MESSAGE_BYTES)
             grant = self._mds_threads.acquire()
             yield grant
             try:
                 yield self.engine.timeout(self.mds_overhead_s)
             finally:
                 self._mds_threads.release()
-            yield self.network.send(self.metadata_node, client_node,
-                                    CONTROL_MESSAGE_BYTES)
+            yield from self.network._send_gen(
+                self.metadata_node, client_node, CONTROL_MESSAGE_BYTES)
         self.metadata_ops += 1
 
     def create_async(self, client_node: str, file_name: str, size: int,
-                     layout: StripeLayout | None = None) -> Completion:
+                     layout: StripeLayout | None = None) -> Process:
         """Create a file *during* a run, paying the metadata cost.
 
         The MDS round trip plus one control message per layout server
         (object creation), as PVFS2 does.  The synchronous
         :meth:`create` stays free for pre-run setup.
         """
-        done = self.engine.completion()
-        self.engine.spawn(
-            self._create_proc(client_node, file_name, size, layout, done),
-            name=f"pfs.create.{file_name}")
-        return done
+        return self.engine.spawn(
+            self._create_proc(client_node, file_name, size, layout))
 
     def _create_proc(self, client_node: str, file_name: str, size: int,
-                     layout: StripeLayout | None, done: Completion):
+                     layout: StripeLayout | None):
         start = self.engine.now
         yield from self._metadata_round_trip(client_node)
         created = self.create(file_name, size, layout)
@@ -239,19 +236,16 @@ class ParallelFileSystem:
                         CONTROL_MESSAGE_BYTES))
             if pending:
                 yield self.engine.all_of(pending)
-        done.trigger((created, start, self.engine.now))
+        return created, start, self.engine.now
 
-    def stat_async(self, client_node: str, file_name: str) -> Completion:
+    def stat_async(self, client_node: str, file_name: str) -> Process:
         """Look up file metadata during a run (one MDS round trip)."""
-        done = self.engine.completion()
+        return self.engine.spawn(self._stat_proc(client_node, file_name))
 
-        def proc():
-            start = self.engine.now
-            yield from self._metadata_round_trip(client_node)
-            size = self.size_of(file_name)
-            done.trigger((size, start, self.engine.now))
-        self.engine.spawn(proc(), name=f"pfs.stat.{file_name}")
-        return done
+    def _stat_proc(self, client_node: str, file_name: str):
+        start = self.engine.now
+        yield from self._metadata_round_trip(client_node)
+        return self.size_of(file_name), start, self.engine.now
 
     def client(self, node_name: str) -> "PFSClient":
         """A client view bound to one network node."""
@@ -260,8 +254,10 @@ class ParallelFileSystem:
 
     # -- data path -------------------------------------------------------------
 
-    def _io(self, client_node: str, op: str, file_name: str, offset: int,
-            nbytes: int) -> Completion:
+    def _io_gen(self, client_node: str, op: str, file_name: str,
+                offset: int, nbytes: int):
+        """Check one client request and return it as a generator
+        (``yield from`` it to wait inline, or spawn it)."""
         layout = self.layout_of(file_name)
         size = self._sizes[file_name]
         if offset < 0 or nbytes <= 0 or offset + nbytes > size:
@@ -269,28 +265,22 @@ class ParallelFileSystem:
                 f"bad range [{offset}, {offset + nbytes}) for "
                 f"{file_name!r} of size {size}"
             )
-        done = self.engine.completion()
-        self.engine.spawn(
-            self._io_proc(client_node, op, file_name, layout, offset,
-                          nbytes, done),
-            name=f"pfs.{op}.{file_name}",
-        )
-        return done
+        return self._io_proc(client_node, op, file_name, layout, offset,
+                             nbytes)
 
     def _io_proc(self, client_node: str, op: str, file_name: str,
-                 layout: StripeLayout, offset: int, nbytes: int,
-                 done: Completion):
+                 layout: StripeLayout, offset: int, nbytes: int):
         start = self.engine.now
         yield self.engine.timeout(self.client_overhead_s)
         parts = layout.server_requests(offset, nbytes)
-        pending = [
-            self.engine.spawn(
-                self._server_io(client_node, op, file_name, part),
-                name=f"pfs.part.s{part.server}",
-            )
-            for part in parts
-        ]
-        results: list[FSResult] = yield self.engine.all_of(pending)
+        if len(parts) == 1:
+            results: list[FSResult] = [(yield from self._server_io(
+                client_node, op, file_name, parts[0]))]
+        else:
+            results = yield self.engine.all_of([
+                self.engine.spawn(
+                    self._server_io(client_node, op, file_name, part))
+                for part in parts])
         device_bytes = sum(r.device_bytes for r in results)
         errors: list[str] = []
         for result in results:
@@ -301,13 +291,13 @@ class ParallelFileSystem:
         else:
             self.stats.writes += 1
             self.stats.bytes_written += nbytes
-        done.trigger(FSResult(
+        return FSResult(
             nbytes, device_bytes,
             cache_hit_pages=sum(r.cache_hit_pages for r in results),
             cache_miss_pages=sum(r.cache_miss_pages for r in results),
             start=start, end=self.engine.now,
             success=not errors, errors=tuple(errors),
-        ))
+        )
 
     def _server_io(self, client_node: str, op: str, file_name: str, part):
         # The replica chain is walked only with failover on; each hop is
@@ -317,24 +307,23 @@ class ParallelFileSystem:
                  else [part.server])
         object_name = self._object_name(file_name, part.server)
         result: FSResult | None = None
+        send = self.network._send_gen
         for hop, server_index in enumerate(chain):
             server = self.servers[server_index]
             if op == READ:
                 # request message out, data back
-                yield self.network.send(client_node, server.name,
-                                        CONTROL_MESSAGE_BYTES)
-                result = yield server.handle(
+                yield from send(client_node, server.name,
+                                CONTROL_MESSAGE_BYTES)
+                result = yield from server._handle_gen(
                     READ, object_name, part.object_offset, part.length)
-                yield self.network.send(server.name, client_node,
-                                        part.length)
+                yield from send(server.name, client_node, part.length)
             else:
                 # data out, ack back
-                yield self.network.send(client_node, server.name,
-                                        part.length)
-                result = yield server.handle(
+                yield from send(client_node, server.name, part.length)
+                result = yield from server._handle_gen(
                     WRITE, object_name, part.object_offset, part.length)
-                yield self.network.send(server.name, client_node,
-                                        CONTROL_MESSAGE_BYTES)
+                yield from send(server.name, client_node,
+                                CONTROL_MESSAGE_BYTES)
             if result.success or hop + 1 == len(chain):
                 break
             self.stats.failovers += 1
@@ -363,22 +352,32 @@ class PFSClient:
         return self.pfs.size_of(file_name)
 
     def create_async(self, file_name: str, size: int,
-                     layout: StripeLayout | None = None) -> Completion:
+                     layout: StripeLayout | None = None) -> Process:
         """Create with metadata costs; fires with (layout, start, end)."""
         return self.pfs.create_async(self.node_name, file_name, size,
                                      layout)
 
-    def stat_async(self, file_name: str) -> Completion:
+    def stat_async(self, file_name: str) -> Process:
         """Metadata lookup; fires with (size, start, end)."""
         return self.pfs.stat_async(self.node_name, file_name)
 
-    def read(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Read; completion fires with an FSResult."""
-        return self.pfs._io(self.node_name, READ, file_name, offset, nbytes)
+    def read(self, file_name: str, offset: int, nbytes: int) -> Process:
+        """Read; the process fires with an FSResult."""
+        return self.engine.spawn(self._read_gen(file_name, offset, nbytes))
 
-    def write(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Write; completion fires with an FSResult."""
-        return self.pfs._io(self.node_name, WRITE, file_name, offset, nbytes)
+    def write(self, file_name: str, offset: int, nbytes: int) -> Process:
+        """Write; the process fires with an FSResult."""
+        return self.engine.spawn(self._write_gen(file_name, offset, nbytes))
+
+    # The same ``yield from`` surface as LocalFileSystem's.
+
+    def _read_gen(self, file_name: str, offset: int, nbytes: int):
+        return self.pfs._io_gen(self.node_name, READ, file_name, offset,
+                                nbytes)
+
+    def _write_gen(self, file_name: str, offset: int, nbytes: int):
+        return self.pfs._io_gen(self.node_name, WRITE, file_name, offset,
+                                nbytes)
 
     def drop_caches(self) -> int:
         """Flush all server caches."""

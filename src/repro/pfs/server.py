@@ -14,7 +14,7 @@ from repro.devices.base import BlockDevice, READ, WRITE
 from repro.errors import FileSystemError
 from repro.fs.localfs import FSResult, LocalFileSystem
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 
@@ -97,18 +97,21 @@ class IOServer:
         return self.storage.exists(object_name)
 
     def handle(self, op: str, object_name: str, offset: int,
-               nbytes: int) -> Completion:
-        """Serve one request; completion fires with the storage FSResult."""
+               nbytes: int) -> Process:
+        """Serve one request; the process fires with the storage FSResult."""
+        return self.engine.spawn(
+            self._handle_gen(op, object_name, offset, nbytes))
+
+    def _handle_gen(self, op: str, object_name: str, offset: int,
+                    nbytes: int):
+        """Check the request and return its handler as a generator
+        (``yield from`` it to wait inline)."""
         if op not in (READ, WRITE):
             raise FileSystemError(f"unknown op {op!r}")
-        done = self.engine.completion()
-        self.engine.spawn(self._handle_proc(op, object_name, offset,
-                                            nbytes, done),
-                          name=f"{self.name}.handle")
-        return done
+        return self._handle_proc(op, object_name, offset, nbytes)
 
     def _handle_proc(self, op: str, object_name: str, offset: int,
-                     nbytes: int, done: Completion):
+                     nbytes: int):
         start = self.engine.now
         if not self.available:
             # Fail fast: a connection refused costs one overhead, not a
@@ -116,27 +119,26 @@ class IOServer:
             # may fail over to a replica server.
             yield self.engine.timeout(self.request_overhead_s)
             self.requests_failed += 1
-            done.trigger(FSResult(
+            return FSResult(
                 nbytes, 0, 0, 0, start, self.engine.now, success=False,
-                errors=(f"server {self.name} unavailable",)))
-            return
+                errors=(f"server {self.name} unavailable",))
         grant = self._threads.acquire()
         yield grant
         try:
             yield self.engine.timeout(self.request_overhead_s
                                       * self.slowdown)
             if op == READ:
-                result: FSResult = yield self.storage.read(
+                result: FSResult = yield from self.storage._read_gen(
                     object_name, offset, nbytes)
             else:
-                result = yield self.storage.write(
+                result = yield from self.storage._write_gen(
                     object_name, offset, nbytes)
         finally:
             self._threads.release()
         self.requests_handled += 1
         if not result.success:
             self.requests_failed += 1
-        done.trigger(result)
+        return result
 
     @property
     def queue_length(self) -> int:

@@ -54,6 +54,7 @@ class Engine:
         self._ready: deque[tuple[int, Callable[..., None], tuple]] = deque()
         self._seq: int = 0
         self._live_processes: int = 0
+        self._spawned: int = 0
         self._running = False
 
     # -- scheduling --------------------------------------------------------

@@ -35,10 +35,8 @@ class Process(Waitable):
     Do not instantiate directly; use :meth:`Engine.spawn`.
     """
 
-    __slots__ = ("name", "generator", "_started", "_finished", "_waiting_on",
-                 "_send")
-
-    _anon_counter = 0
+    __slots__ = ("_name", "_number", "generator", "_started", "_finished",
+                 "_waiting_on", "_send")
 
     def __init__(self, engine: "Engine", generator: Generator,
                  name: str = "") -> None:
@@ -56,16 +54,23 @@ class Process(Waitable):
         self._fired = False
         self.value = None
         self.exception = None
-        if not name:
-            Process._anon_counter += 1
-            name = f"proc-{Process._anon_counter}"
-        self.name = name
+        # Anonymous processes are named on demand (``proc-N``, N counted
+        # per engine), so the same seeded run names its processes the
+        # same way whatever ran before it in the interpreter.
+        engine._spawned += 1
+        self._number = engine._spawned
+        self._name = name
         self.generator = generator
         self._started = False
         self._finished = False
         self._waiting_on: Waitable | None = None
         engine._live_processes += 1
         engine._schedule_now(self._start, ())
+
+    @property
+    def name(self) -> str:
+        """The spawn-time name, or ``proc-N`` for the engine's N-th spawn."""
+        return self._name or f"proc-{self._number}"
 
     @property
     def finished(self) -> bool:

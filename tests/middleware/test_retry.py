@@ -20,13 +20,17 @@ class FakeResult:
 
 
 def failing_issuer(engine, fail_times, attempt_cost_s=0.01):
-    """issue() that fails the first ``fail_times`` attempts."""
+    """issue() that fails the first ``fail_times`` attempts.
+
+    Like a mount's ``_read_gen``, each call returns a fresh generator
+    for one attempt.
+    """
     count = {"n": 0}
 
     def issue():
         count["n"] += 1
         ok = count["n"] > fail_times
-        return engine.timeout(attempt_cost_s, FakeResult(success=ok))
+        return (yield engine.timeout(attempt_cost_s, FakeResult(success=ok)))
     return issue
 
 

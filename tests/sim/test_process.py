@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.engine import Engine
 from repro.sim.process import ProcessKilled
 
 
@@ -61,6 +62,27 @@ class TestBasics:
         b = engine.spawn(proc(engine))
         engine.run()
         assert a.name != b.name
+
+    def test_anonymous_names_do_not_depend_on_earlier_engines(self):
+        def child(eng):
+            yield eng.timeout(1.0)
+
+        def program(eng):
+            first = eng.spawn(child(eng))
+            yield first
+            second = eng.spawn(child(eng), name="named")
+            yield second
+            return [first.name, second.name]
+
+        def names_of_a_run():
+            eng = Engine()
+            main = eng.spawn(program(eng))
+            eng.run()
+            return [main.name, *main.result()]
+
+        first = names_of_a_run()
+        assert names_of_a_run() == first
+        assert first == ["proc-1", "proc-2", "named"]
 
 
 class TestErrorPropagation:
